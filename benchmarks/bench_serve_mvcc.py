@@ -20,10 +20,14 @@ here against the RW-lock fallback measured by
    come out strictly ahead — this is the structural gap, robust to
    scheduler noise in a way raw scaling ratios are not.
 
-3. **Writes pay almost nothing for it.**  Publishing a version after
-   each commit is a shallow dict copy; steady-state write throughput
-   (no modeled latency — raw dispatch, where the publish cost would
-   actually show) must stay within 10% of the RW-lock fallback's.
+3. **Writes pay almost nothing for it, at any registry size.**
+   Publishing a version after each commit copies only the chunks of
+   the structurally shared version map that the commit touched, plus
+   the chunk list (see :mod:`repro.interpreter.versionmap`);
+   steady-state write throughput (no modeled latency — raw dispatch,
+   where the publish cost would actually show) must stay within 10%
+   of the RW-lock fallback's, and raw write latency at 10^4 resources
+   must stay within 1.5x of its value at 10^2.
 
 A clean and a hostile-chaos 8-worker soak close the file: serial
 replay linearizability and snapshot byte-identity must hold while the
@@ -303,8 +307,8 @@ def test_write_path_within_10pct_of_rwlock(learned_builds, bench_metrics):
     """Publish-per-commit must not tax writes beyond 10%.
 
     No modeled latency here: raw single-thread write dispatch through
-    the concurrency layer, where the version publish (a shallow dict
-    copy of the registry) would actually show up.  Steady-state: one
+    the concurrency layer, where the version publish would actually
+    show up.  Steady-state: one
     create + one delete per iteration, so the registry — and thus the
     publish cost — stays constant size.
     """
@@ -341,6 +345,64 @@ def test_write_path_within_10pct_of_rwlock(learned_builds, bench_metrics):
     bench_metrics.gauge("write_throughput_ratio", round(ratio, 3))
     assert ratio >= 0.90, (
         f"MVCC write path at {ratio:.3f}x of the RW-lock baseline"
+    )
+
+
+#: Registry sizes for the write-latency curve, and the gate on it.
+WRITE_SCALING_SIZES = (100, 1000, 10000)
+WRITE_SCALING_BOUND = 1.5
+
+
+def test_write_latency_flat_in_registry_size(learned_builds,
+                                             bench_metrics):
+    """Raw MVCC write latency must not grow with the registry.
+
+    No modeled sleep: one thread, ``ConcurrentEmulator`` over the real
+    emulator, prefilled with N VPCs, then size-neutral CreateVpc +
+    DeleteVpc pairs — each write commits and publishes a version.
+    Best of five rounds per size.  A publish that copied the whole
+    registry made this O(N) (about 25x from 10^2 to 10^4); a publish
+    that copies only what the commit touched keeps it flat.
+    """
+    build = learned_builds["ec2"]
+    pairs = 200
+    latency = {}
+    for size in WRITE_SCALING_SIZES:
+        emulator = ConcurrentEmulator(build.make_backend())
+        inner = emulator.inner
+        for index in range(size):
+            assert inner.invoke(
+                "CreateVpc", {"CidrBlock": f"10.{index % 200}.0.0/16"}
+            ).success
+        best = float("inf")
+        for __ in range(5):
+            start = time.perf_counter()
+            for __ in range(pairs):
+                created = emulator.invoke(
+                    "CreateVpc", {"CidrBlock": "10.0.0.0/16"}
+                )
+                assert created.success
+                assert emulator.invoke(
+                    "DeleteVpc", {"VpcId": created.data["id"]}
+                ).success
+            best = min(best, (time.perf_counter() - start) / (2 * pairs))
+        assert len(inner.registry) == size
+        latency[size] = best * 1e6
+        stats = emulator.version_stats()
+        bench_metrics.gauge(f"write_us_1e{len(str(size)) - 1}",
+                            round(latency[size], 2))
+        bench_metrics.gauge(
+            f"publish_copied_per_write_1e{len(str(size)) - 1}",
+            round(stats["publish_copied"] / (stats["publishes"] - 1), 1),
+        )
+    scaling = latency[WRITE_SCALING_SIZES[-1]] / latency[WRITE_SCALING_SIZES[0]]
+    print("\nraw mvcc write latency: " + ", ".join(
+        f"{size:,} resources {us:.1f} us" for size, us in latency.items()
+    ) + f" ({scaling:.2f}x from 10^2 to 10^4)")
+    bench_metrics.gauge("write_scaling_1e4_v_1e2", round(scaling, 3))
+    assert scaling <= WRITE_SCALING_BOUND, (
+        f"MVCC write latency grew {scaling:.2f}x from 10^2 to 10^4 "
+        "resources"
     )
 
 

@@ -334,7 +334,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         print(f"  admitted writes logged: {report.admitted_writes}")
         if report.mvcc and report.mvcc.get("mvcc_tenants"):
             print(f"  mvcc:        "
-                  f"{report.mvcc['publishes']} publish(es), "
+                  f"{report.mvcc['publishes']} publish(es) "
+                  f"({report.mvcc['publish_copied']} entr(ies) copied), "
                   f"{report.mvcc['reclaimed']} reclaimed, "
                   f"{report.mvcc['pinned_reads']} pinned read(s), "
                   f"{report.mvcc['read_lock_acquisitions']} read-lock "

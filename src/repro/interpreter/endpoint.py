@@ -135,14 +135,16 @@ class JsonEndpoint:
 
     # -- text envelope -----------------------------------------------------------
 
-    def handle(self, payload: "str | bytes") -> str:
+    def handle(self, payload: "str | bytes", dispatch=None) -> str:
         """Handle one JSON-encoded request; always returns valid JSON.
 
         Envelope problems — undecodable bytes, unparsable JSON, a
         non-object top level, a missing or mistyped ``Action`` or
         ``Parameters`` — come back as a 400-style
         ``SerializationException`` rather than an exception: wire front
-        doors don't crash on bad input.
+        doors don't crash on bad input.  ``dispatch`` (default
+        :meth:`dispatch`) runs the decoded envelope; a front door
+        passes its own so wire requests take its whole request path.
         """
         if isinstance(payload, (bytes, bytearray)):
             try:
@@ -159,7 +161,7 @@ class JsonEndpoint:
                 f"could not parse request: {message}"
             ))
         try:
-            body = self.dispatch(request)
+            body = (dispatch or self.dispatch)(request)
         except ProtocolError as error:
             body = self._serialization_error(str(error))
         return json.dumps(body)

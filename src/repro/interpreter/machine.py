@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from ..spec import ast
 from .errors import CloudError, INTERNAL_FAILURE
+from .versionmap import VersionMap, build, derive, note
 
 
 @dataclass
@@ -111,10 +112,17 @@ class Transaction:
         serve path depends on it.  (State *values* are already safe to
         share: the spec language treats lists and maps as values, so
         builtins return fresh objects instead of mutating.)
+
+        Once the registry has published a version, commit also notes
+        every id it created, replaced or deleted in ``registry._dirty``
+        (in live-dict order), so the next :meth:`Registry.publish`
+        copies only the chunks those ids live in.
         """
         registry = self.registry
         instances = registry.instances
+        dirty = registry._dirty
         for instance in self._created.values():
+            note(dirty, instance.id, instance.id not in instances)
             instances[instance.id] = instance
         for instance_id, writes in self._writes.items():
             if instance_id in self._deleted:
@@ -134,10 +142,16 @@ class Transaction:
                     state={**target.state, **writes},
                     parent_id=target.parent_id,
                 )
+                note(dirty, instance_id, False)
         for instance_id in self._deleted:
-            instances.pop(instance_id, None)
+            if instances.pop(instance_id, None) is not None:
+                note(dirty, instance_id, False)
         if self._created or self._writes or self._deleted:
             registry.mutations += 1
+            if dirty is not None and len(dirty) > len(instances):
+                # More touched than live: the next publish rebuilds in
+                # full for less, so stop tracking until then.
+                registry._dirty = None
 
 
 class ReadOnlyView:
@@ -231,11 +245,13 @@ class RegistryVersion:
 
     Built by :meth:`Registry.publish` under the serve layer's writer
     mutex and handed to readers, which dispatch against it with zero
-    locking.  The ``instances`` map is a shallow copy of the live
-    registry's — safe because :meth:`Transaction.commit` replaces
-    rather than mutates committed instances — so publishing is O(live
-    instances) pointer copies, and consecutive versions share every
-    untouched instance structurally.
+    locking.  ``instances`` and ``placements`` are
+    :class:`~repro.interpreter.versionmap.VersionMap` objects:
+    creation-ordered maps of fixed-size chunks that consecutive
+    versions share, so a publish copies only the chunks its commits
+    touched (safe because :meth:`Transaction.commit` replaces rather
+    than mutates committed instances).  ``copied`` counts the entries
+    and chunk pointers the publish that built this version copied.
 
     ``wal_seq`` is stamped by the owning emulator at publish time so a
     snapshot dumped from a pinned version carries the correct recovery
@@ -246,16 +262,18 @@ class RegistryVersion:
 
     __slots__ = (
         "version", "instances", "counters", "placements", "wal_seq",
-        "_view", "_rt",
+        "copied", "_view", "_rt",
     )
 
-    def __init__(self, version: int, instances: dict[str, MachineInstance],
-                 counters: dict[str, int], placements: dict[str, str]):
+    def __init__(self, version: int, instances: VersionMap,
+                 counters: dict[str, int], placements: VersionMap,
+                 copied: int):
         self.version = version
         self.instances = instances
         self.counters = counters
         self.placements = placements
         self.wal_seq = 0
+        self.copied = copied
         self._view = None
         self._rt = None
 
@@ -335,24 +353,49 @@ class Registry:
         self.version = 0
         self._published: RegistryVersion | None = None
         self._published_tick = -1
+        #: Keys of ``instances`` / ``placements`` created, replaced or
+        #: deleted since the last publish, in live-dict order (see
+        #: :func:`~repro.interpreter.versionmap.note`); ``None`` while
+        #: the next publish must build in full anyway.
+        self._dirty: dict[str, bool] | None = None
+        self._placed: dict[str, bool] | None = None
 
     def publish(self) -> RegistryVersion:
         """The current state as an immutable version (cached).
 
         Must be called with writes excluded (the serve layer's writer
         mutex); readers then pin the returned object and never touch
-        the live registry again.
+        the live registry again.  The new version is derived from the
+        previous one plus the keys noted dirty since, so a publish
+        copies the chunks those keys live in and the chunk list —
+        O(touched + live / CHUNK) — not the whole registry.  The first
+        publish of a registry builds its maps in full.
         """
         published = self._published
         if published is not None and self._published_tick == self.mutations:
             return published
         self.version += 1
+        if published is None:
+            instances, copied = build(self.instances)
+            placements, placed = build(self.placements)
+            self._placed = {}
+        else:
+            instances, copied = derive(
+                published.instances, self.instances, self._dirty
+            )
+            placements, placed = published.placements, 0
+            if self._placed:
+                placements, placed = derive(
+                    placements, self.placements, self._placed
+                )
+                self._placed = {}
         published = RegistryVersion(
-            self.version, dict(self.instances), dict(self._counters),
-            dict(self.placements),
+            self.version, instances, dict(self._counters), placements,
+            copied + placed,
         )
         self._published = published
         self._published_tick = self.mutations
+        self._dirty = {}
         return published
 
     def new_id(self, sm_name: str) -> str:
@@ -377,10 +420,12 @@ class Registry:
 
     def place(self, instance_id: str, region: str) -> None:
         """Record (or move) a resource's home region."""
+        placements = self.placements
         if region:
-            self.placements[instance_id] = region
-        else:
-            self.placements.pop(instance_id, None)
+            note(self._placed, instance_id, instance_id not in placements)
+            placements[instance_id] = region
+        elif placements.pop(instance_id, None) is not None:
+            note(self._placed, instance_id, False)
         self.mutations += 1
 
     def region_of(self, instance_id: str, default: str = "") -> str:

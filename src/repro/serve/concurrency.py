@@ -154,6 +154,9 @@ class ConcurrentEmulator:
             self._slots = ReaderSlots()
             self._chain = VersionChain(inner.publish_version(),
                                        self._slots)
+            #: Entries (and chunk pointers) copied by every publish
+            #: after the first: the O(touched) publish cost as a count.
+            self._publish_copied = 0
         else:
             self._writer = None
             self._slots = None
@@ -309,6 +312,8 @@ class ConcurrentEmulator:
         version = self.inner.publish_version()
         swung = version is not self._chain.current
         freed = self._chain.publish(version)
+        if swung:
+            self._publish_copied += version.copied
         telemetry = self.telemetry
         if telemetry is not None:
             if freed:
@@ -319,6 +324,9 @@ class ConcurrentEmulator:
             # happen.
             if swung:
                 telemetry.metrics.counter("serve.version_publishes").inc()
+                telemetry.metrics.counter("serve.publish_copied").inc(
+                    version.copied
+                )
                 telemetry.metrics.gauge("serve.versions_live").set(
                     self._chain.live
                 )
@@ -327,6 +335,7 @@ class ConcurrentEmulator:
                 ) as span:
                     span.set("registry.version", version.version)
                     span.set("reclaimed", freed)
+                    span.set("copied", version.copied)
                     span.set("versions_live", self._chain.live)
         return version
 
@@ -335,7 +344,10 @@ class ConcurrentEmulator:
 
         ``read_lock_acquisitions`` is the lock-free proof: under MVCC
         it must stay exactly zero (reads never touch the RW lock), and
-        the benches and CI assert it does."""
+        the benches and CI assert it does.  ``publish_copied`` is the
+        publish cost as a count: the entries and chunk pointers every
+        publish after the first copied (see
+        :func:`~repro.interpreter.versionmap.derive`)."""
         stats = {
             "mvcc": self.mvcc,
             "read_lock_acquisitions": self.lock.read_acquisitions,
@@ -344,6 +356,7 @@ class ConcurrentEmulator:
         if self.mvcc:
             stats.update(
                 publishes=self._chain.publishes,
+                publish_copied=self._publish_copied,
                 reclaimed=self._chain.reclaimed,
                 versions_live=self._chain.live,
                 pinned_reads=self._slots.reads(),

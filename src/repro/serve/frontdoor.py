@@ -25,6 +25,9 @@ paper's bar for the emulator itself (§2).
 
 from __future__ import annotations
 
+import json
+from functools import partial
+
 from ..interpreter.endpoint import RequestIdSequence
 from ..interpreter.errors import ApiResponse
 from ..obs.tracectx import current_request
@@ -280,6 +283,11 @@ class FrontDoor:
             tenant = self.router.resolve(api_key)
         except AuthError as error:
             return self._auth_envelope(error)
+        return self._serve(tenant, request)
+
+    def _serve(self, tenant: Tenant, request: dict) -> dict:
+        """:meth:`dispatch` after tenant resolution: envelope meta,
+        the observability root span, then the tenant's endpoint."""
         try:
             deadline, retry = (
                 envelope_meta(request, self.clock)
@@ -316,14 +324,21 @@ class FrontDoor:
 
     def handle(self, payload: "str | bytes",
                api_key: str | None = None) -> str:
-        """Handle one JSON-encoded request; always returns valid JSON."""
-        import json
+        """Handle one JSON-encoded request; always returns valid JSON.
 
+        The tenant's endpoint decodes the payload and encodes the
+        reply (malformed envelopes answer ``SerializationException``);
+        in between, the request takes the same path as
+        :meth:`dispatch` — ``DeadlineSeconds``, ``Retry`` and the
+        observability root span included.
+        """
         try:
             tenant = self.router.resolve(api_key)
         except AuthError as error:
             return json.dumps(self._auth_envelope(error))
-        return tenant.endpoint.handle(payload)
+        return tenant.endpoint.handle(
+            payload, dispatch=partial(self._serve, tenant)
+        )
 
     def invoke(self, api: str, params: dict | None = None,
                api_key: str | None = None,

@@ -474,6 +474,7 @@ def mvcc_stats(frontdoor) -> dict:
         "tenants": 0,
         "mvcc_tenants": 0,
         "publishes": 0,
+        "publish_copied": 0,
         "reclaimed": 0,
         "versions_live": 0,
         "pinned_reads": 0,
@@ -489,6 +490,7 @@ def mvcc_stats(frontdoor) -> dict:
         if per_tenant.get("mvcc"):
             stats["mvcc_tenants"] += 1
             stats["publishes"] += per_tenant.get("publishes", 0)
+            stats["publish_copied"] += per_tenant.get("publish_copied", 0)
             stats["reclaimed"] += per_tenant.get("reclaimed", 0)
             stats["versions_live"] += per_tenant.get("versions_live", 0)
             stats["pinned_reads"] += per_tenant.get("pinned_reads", 0)

@@ -1330,6 +1330,7 @@ class ShardedFrontDoor(FrontDoor):
             "tenants": 0,
             "mvcc_tenants": 0,
             "publishes": 0,
+            "publish_copied": 0,
             "reclaimed": 0,
             "versions_live": 0,
             "pinned_reads": 0,
@@ -1343,7 +1344,7 @@ class ShardedFrontDoor(FrontDoor):
                 merged["tenants"] += 1
                 if per_tenant.get("mvcc"):
                     merged["mvcc_tenants"] += 1
-                    for key in ("publishes", "reclaimed",
+                    for key in ("publishes", "publish_copied", "reclaimed",
                                 "versions_live", "pinned_reads"):
                         merged[key] += per_tenant.get(key, 0)
                 for key in ("read_lock_acquisitions",

@@ -252,6 +252,15 @@ def _serving_rows(metrics: dict) -> list[str]:
             f"{publishes} version publish(es) "
             f"({reclaimed} reclaimed, {live:.0f} live)"
         )
+        copied = total("serve.publish_copied")
+        if copied:
+            # What the publishes cost: entries and chunk pointers
+            # copied, which tracks what each write touched, not the
+            # registry's size.
+            rows.append(
+                f"{copied} entr(ies) copied by publishes "
+                f"({copied / publishes:.1f} per publish)"
+            )
     return rows
 
 

@@ -9,11 +9,13 @@ import pytest
 
 from repro.core import build_learned_emulator
 from repro.durability.snapshot import version_dump
+from repro.interpreter.versionmap import CHUNK
 from repro.obs.tracectx import CURRENT_REQUEST, RequestContext
 from repro.resilience.chaos import ChaosEngine, ChaosProxy, HOSTILE_PROFILE
 from repro.serve import ConcurrentEmulator, FrontDoor, LoadGenerator
 from repro.serve.locks import RWLock
 from repro.serve.mvcc import ReaderSlots, VersionChain
+from repro.telemetry import Telemetry
 from repro.telemetry.report import _serving_rows
 
 
@@ -220,31 +222,52 @@ class TestConcurrentEmulatorMvcc:
     def test_snapshots_under_write_churn_restore_byte_identical(
             self, build):
         emulator = ConcurrentEmulator(build.make_backend())
+        for index in range(500):
+            assert emulator.invoke(
+                "CreateVpc", {"CidrBlock": f"10.{index % 200}.0.0/16"}
+            ).success
         stop = threading.Event()
         failures = []
+        pairs = [0]
 
         def writer():
+            # Unthrottled but size-neutral: every create is deleted
+            # again, so each snapshot dumps ~500 VPCs however far the
+            # writer outruns the snapshots, and deletes publish under
+            # snapshot too.
             index = 0
             while not stop.is_set():
-                emulator.invoke(
+                created = emulator.invoke(
                     "CreateVpc",
                     {"CidrBlock": f"10.{index % 200}.0.0/16"},
                 )
+                deleted = emulator.invoke(
+                    "DeleteVpc", {"VpcId": created.data["id"]}
+                )
+                if not deleted.success:
+                    failures.append(f"delete failed: {deleted}")
+                    return
+                pairs[0] += 1
                 index += 1
 
         churn = threading.Thread(target=writer, daemon=True)
         churn.start()
         try:
+            before = pairs[0]
             for __ in range(30):
                 snap = emulator.snapshot()
                 replica = build.make_backend()
                 replica.restore(snap)
                 if _canonical(replica.snapshot()) != _canonical(snap):
                     failures.append("restore diverged from snapshot")
+            during = pairs[0] - before
         finally:
             stop.set()
-            churn.join()
+            churn.join(timeout=10)
+        assert not churn.is_alive()
         assert not failures
+        # Not vacuous: the writer kept publishing while snapshots ran.
+        assert during > 0
 
     def test_recover_is_atomic_for_pinned_readers(self, build):
         emulator = ConcurrentEmulator(build.make_backend())
@@ -304,6 +327,33 @@ class TestConcurrentEmulatorMvcc:
         # reclaimed at the next publish.
         assert stats["versions_live"] == 1
         assert stats["reclaimed"] == stats["publishes"] - 1
+
+
+class TestPublishCost:
+    def test_publish_copies_what_the_write_touched(self, build):
+        telemetry = Telemetry(service="ec2")
+        emulator = ConcurrentEmulator(build.make_backend(),
+                                      telemetry=telemetry)
+        vpcs = [
+            emulator.invoke(
+                "CreateVpc", {"CidrBlock": f"10.{index % 200}.0.0/16"}
+            ).data["id"]
+            for index in range(1000)
+        ]
+        before = emulator.version_stats()["publish_copied"]
+        assert emulator.invoke("ModifyVpcAttribute", {
+            "VpcId": vpcs[500], "EnableDnsHostnames": True,
+        }).success
+        copied = emulator.version_stats()["publish_copied"] - before
+        chunks = len(emulator._chain.current.instances._chunks)
+        # One chunk of entries plus the chunk list, not 1000 entries.
+        assert 0 < copied <= CHUNK + chunks
+        spans = [span for span in telemetry.tracer.walk()
+                 if span.name == "serve.publish"]
+        assert spans[-1].attributes["copied"] == copied
+        assert telemetry.metrics.counter(
+            "serve.publish_copied"
+        ).value == emulator.version_stats()["publish_copied"]
 
 
 class TestMvccSoak:
@@ -436,6 +486,14 @@ class TestReportRows:
             "4 version publish(es) (3 reclaimed, 1 live)" == row
             for row in rows
         )
+
+    def test_publish_copies_surface_in_serving_rows(self):
+        rows = _serving_rows({
+            "serve.requests": {"value": 10},
+            "serve.version_publishes": {"value": 4},
+            "serve.publish_copied": {"value": 260},
+        })
+        assert "260 entr(ies) copied by publishes (65.0 per publish)" in rows
 
     def test_rows_stay_silent_without_mvcc(self):
         rows = _serving_rows({"serve.requests": {"value": 10}})

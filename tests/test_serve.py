@@ -212,6 +212,55 @@ class TestTenancy:
         )
 
 
+class TestWireHandle:
+    """``FrontDoor.handle`` (JSON in, JSON out) takes the same request
+    path as ``dispatch``: deadlines, retries and the obs root span."""
+
+    def test_expired_deadline_over_the_wire_times_out(self, build):
+        front = make_front(build, allocation=True)
+        reply = json.loads(front.handle(json.dumps({
+            "Action": "CreateVpc",
+            "Parameters": {"CidrBlock": "10.0.0.0/16"},
+            "DeadlineSeconds": -1.0,
+        }), api_key="t"))
+        assert reply["Error"]["Code"] == "RequestTimeout"
+        assert len(front.admitted) == 0
+
+    def test_obs_front_door_records_a_root_span(self, build):
+        from repro.obs import ObsPlane
+
+        telemetry = Telemetry(service="ec2")
+        ObsPlane(telemetry, seed=7, sample_keep=1.0)
+        front = make_front(build, telemetry=telemetry)
+        reply = json.loads(front.handle(json.dumps({
+            "Action": "CreateVpc",
+            "Parameters": {"CidrBlock": "10.0.0.0/16"},
+        }), api_key="t"))
+        assert "Error" not in reply
+        roots = [span for span in telemetry.tracer.walk()
+                 if span.name == "serve.request"]
+        assert len(roots) == 1
+        assert roots[0].attributes["tenant"] == "t"
+        assert roots[0].attributes["api"] == "CreateVpc"
+        assert roots[0].attributes["outcome"] == "ok"
+
+    def test_malformed_envelopes_stay_serialization_errors(self, build):
+        front = make_front(build)
+        for payload in ("{not json", "[1, 2]",
+                        json.dumps({"Parameters": {}}), b"\xff"):
+            reply = json.loads(front.handle(payload, api_key="t"))
+            assert reply["Error"]["Code"] == "SerializationException"
+        assert len(front.admitted) == 0
+
+    def test_handle_matches_dispatch(self, build):
+        request = {"Action": "CreateVpc",
+                   "Parameters": {"CidrBlock": "10.0.0.0/16"}}
+        wire = make_front(build, seed=3)
+        direct = make_front(build, seed=3)
+        assert json.loads(wire.handle(json.dumps(request), api_key="a")) \
+            == direct.dispatch(request, api_key="a")
+
+
 class TestAdmission:
     def test_bucket_exhaustion_sheds_with_retry_after(self):
         clock = VirtualClock()
