@@ -34,7 +34,6 @@ from repro.scenarios.fairness import (
     shard_kill_inheritance,
 )
 from repro.serve import AllocationConfig, FrontDoor
-from repro.serve.loadgen import verify_linearizable
 
 #: Every victim keeps at least this fraction of its isolated goodput.
 MIN_VICTIM_GOODPUT = 0.9
@@ -115,7 +114,7 @@ def test_work_conservation_vs_independent_buckets(
     fair_run = drive_fair_load(
         fair, clients, 15.0, seed=7, read_ratio=0.0
     )
-    fair_ok, fair_mismatches = verify_linearizable(fair)
+    fair_ok, fair_mismatches = fair.verify_linearizable()
 
     legacy = FrontDoor(
         build.module, build.make_backend, seed=7,
@@ -124,7 +123,7 @@ def test_work_conservation_vs_independent_buckets(
     legacy_run = drive_fair_load(
         legacy, clients, 15.0, seed=7, read_ratio=0.0
     )
-    legacy_ok, legacy_mismatches = verify_linearizable(legacy)
+    legacy_ok, legacy_mismatches = legacy.verify_linearizable()
 
     fair_total = sum(
         stats["admitted"] for stats in fair_run["tenants"].values()

@@ -1,95 +1,90 @@
 """Lock-free MVCC serve reads: the scaling proof and its guardrails.
 
-The MVCC refactor's claim has three measurable parts, each pinned
-here against the RW-lock fallback measured by
-``bench_serve_concurrency.py`` (the committed baseline):
+The serve layer has one concurrency mode: reads pin published
+registry versions and take no lock, writes serialize under one writer
+mutex and publish a new version.  The RW lock it replaced is gone, and
+its measurements stay committed as the baselines these gates compare
+against: ``BENCH_serve_concurrency.json`` (read scaling), the
+``serve_mvcc`` section of ``BENCH_baseline.json`` (reads under write
+churn) and :data:`RW_WRITE_RATE_FACTOR` (the write path).  Nothing
+rewrites those figures.
 
-1. **Reads scale without locking.**  The same modeled-service-latency
-   methodology as the lock bench — a real ``time.sleep`` per request,
-   released-GIL I/O stand-in — but through a wrapper that forwards the
-   versioned-read surface, so the concurrency layer pins published
-   registry versions instead of taking the shared lock.  The proof of
-   "zero locking" is a counter, not an adjective: the tenant's RW lock
-   must record **0** read acquisitions over the whole run.
+1. **Reads scale without locking.**  A modeled per-request service
+   time — a real ``time.sleep``, the released-GIL stand-in for I/O
+   wait — makes concurrency visible on any core count.  8-worker read
+   throughput must clear 2x one worker's and stay within 10% of the
+   RW lock's committed scaling.
 
-2. **Reads do not stall behind writes.**  Under the RW lock, one
-   writer holding the exclusive side stalls every reader for its full
-   modeled service time; under MVCC, readers keep dispatching against
-   the last published version.  The bench runs the same read load
-   under continuous write churn in both modes and requires MVCC to
-   come out strictly ahead — this is the structural gap, robust to
-   scheduler noise in a way raw scaling ratios are not.
+2. **Reads do not stall behind writes.**  Under an RW lock, one writer
+   holding the exclusive side stalls every reader for its full modeled
+   service time; pinned readers keep dispatching against the last
+   published version.  The same read load under continuous write churn
+   must beat the RW lock's committed rate.
 
 3. **Writes pay almost nothing for it, at any registry size.**
    Publishing a version after each commit copies only the chunks of
    the structurally shared version map that the commit touched, plus
-   the chunk list (see :mod:`repro.interpreter.versionmap`);
-   steady-state write throughput (no modeled latency — raw dispatch,
-   where the publish cost would actually show) must stay within 10%
-   of the RW-lock fallback's, and raw write latency at 10^4 resources
-   must stay within 1.5x of its value at 10^2.
+   the chunk list (see :mod:`repro.interpreter.versionmap`).  The
+   write rate relative to the raw emulator's must stay within 10% of
+   the RW lock's relative rate, and raw write latency at 10^4
+   resources within 1.5x of its value at 10^2.
 
-A clean and a hostile-chaos 8-worker soak close the file: serial
-replay linearizability and snapshot byte-identity must hold while the
-read path stays lock-free.
+The single-thread front-door overhead and a clean and a hostile-chaos
+8-worker soak close the file: serial replay linearizability and
+snapshot byte-identity must hold.
 """
 
+import json
 import os
+import statistics
 import threading
 import time
+from pathlib import Path
 
 from repro.resilience.chaos import ChaosEngine, ChaosProxy, HOSTILE_PROFILE
 from repro.serve import ConcurrentEmulator, FrontDoor, LoadGenerator
 
-#: Modeled per-request service time (seconds) — same figure as the
-#: RW-lock bench so the two JSONs are directly comparable.
+#: The repository root, where the committed baselines live.
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Modeled per-request service time (seconds) — the figure the
+#: committed RW-lock baselines were measured with.
 SERVICE_LATENCY_S = 0.002
 
+#: Write rate of the RW-lock serve path over the raw ``Emulator``'s,
+#: measured with :func:`write_rate_factor` on the learned ec2 build at
+#: commit 45e158c, the last with the RW-lock path (2-vCPU Linux VM,
+#: Python 3.11).  Four runs of 400 chunk pairs, alternated with runs of
+#: the MVCC path, read 0.693, 0.700, 0.711 and 0.720 (MVCC: 0.698,
+#: 0.694, 0.707 and 0.713); this is their median.  Thread CPU time
+#: makes it a property of the code rather than of the host's load.
+RW_WRITE_RATE_FACTOR = 0.705
 
-class _ModeledMvccEmulator:
-    """A modeled-latency emulator that keeps the versioned-read surface.
+#: Write rate floor, as a fraction of the RW lock's.
+WRITE_RATIO_BOUND = 0.90
 
-    The lock bench's wrapper deliberately hides ``invoke_at`` so the
-    concurrency layer falls back to the RW lock; this one forwards the
-    whole MVCC surface, so the same modeled workload runs lock-free.
+#: CreateVpc+DeleteVpc pairs per timed chunk, and chunk pairs per
+#: measurement.
+CHUNK_PAIRS = 25
+CHUNKS = 400
+
+
+class ModeledLatencyEmulator:
+    """An emulator whose every dispatch takes ``latency`` wall seconds
+    longer.
+
+    ``invoke`` and ``invoke_at`` sleep, then dispatch; everything else
+    — classification, the versioned-read surface, snapshots — is the
+    inner emulator's, so the concurrency layer serves it exactly as it
+    serves a bare emulator.
     """
 
     def __init__(self, inner, latency: float = SERVICE_LATENCY_S):
         self.inner = inner
         self.latency = latency
-        self.mvcc = inner.mvcc
 
-    def api_names(self):
-        return self.inner.api_names()
-
-    def supports(self, api):
-        return self.inner.supports(api)
-
-    def read_only(self, api):
-        return self.inner.read_only(api)
-
-    def reset(self):
-        self.inner.reset()
-
-    def snapshot(self):
-        return self.inner.snapshot()
-
-    def restore(self, snapshot):
-        self.inner.restore(snapshot)
-
-    def recover(self, snapshot, records=None):
-        return self.inner.recover(snapshot, records)
-
-    @property
-    def registry(self):
-        return self.inner.registry
-
-    @property
-    def wal_seq(self):
-        return self.inner.wal_seq
-
-    def publish_version(self):
-        return self.inner.publish_version()
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
     def invoke(self, api, params=None):
         time.sleep(self.latency)
@@ -99,8 +94,12 @@ class _ModeledMvccEmulator:
         time.sleep(self.latency)
         return self.inner.invoke_at(version, api, params)
 
-    def reference_invoke(self, api, params=None, at=None):
-        return self.inner.reference_invoke(api, params, at=at)
+
+def _committed(path: Path, key: str, section: str | None = None) -> float:
+    data = json.loads(path.read_text(encoding="utf-8"))
+    if section is not None:
+        data = data[section]
+    return data[key]["value"]
 
 
 def _read_throughput(front: FrontDoor, vpc: str, workers: int,
@@ -130,54 +129,19 @@ def _read_throughput(front: FrontDoor, vpc: str, workers: int,
     return (workers * reads_per_worker) / elapsed
 
 
-def _make_front(build, mvcc: bool) -> FrontDoor:
-    if mvcc:
-        factory = lambda: _ModeledMvccEmulator(build.make_backend())  # noqa: E731
-    else:
-        # Same modeled wrapper shape, but without the MVCC surface —
-        # the concurrency layer auto-selects the RW-lock fallback.
-        factory = lambda: _LockedModeled(build.make_backend())  # noqa: E731
+def _make_front(build) -> FrontDoor:
     return FrontDoor(
-        build.module, factory,
+        build.module,
+        lambda: ModeledLatencyEmulator(build.make_backend()),
         rate=1e9, burst=1e9, max_concurrent=64, queue_depth=256,
     )
 
 
-class _LockedModeled:
-    """The RW-lock twin: modeled latency, no versioned-read surface."""
-
-    def __init__(self, inner, latency: float = SERVICE_LATENCY_S):
-        self.inner = inner
-        self.latency = latency
-
-    def api_names(self):
-        return self.inner.api_names()
-
-    def supports(self, api):
-        return self.inner.supports(api)
-
-    def read_only(self, api):
-        return self.inner.read_only(api)
-
-    def reset(self):
-        self.inner.reset()
-
-    def snapshot(self):
-        return self.inner.snapshot()
-
-    @property
-    def registry(self):
-        return self.inner.registry
-
-    def invoke(self, api, params=None):
-        time.sleep(self.latency)
-        return self.inner.invoke(api, params)
-
-
 def test_mvcc_read_path_scales_lock_free(learned_builds, bench_metrics):
-    """8 pinned readers overlap fully — and the lock counter stays 0."""
+    """8 pinned readers overlap fully: >= 2x one reader, and within 10%
+    of the committed RW-lock scaling."""
     build = learned_builds["ec2"]
-    front = _make_front(build, mvcc=True)
+    front = _make_front(build)
     created = front.invoke(
         "CreateVpc", {"CidrBlock": "10.0.0.0/16"}, api_key="bench"
     )
@@ -185,8 +149,6 @@ def test_mvcc_read_path_scales_lock_free(learned_builds, bench_metrics):
     vpc = created.data["id"]
 
     tenant = front.router.get("bench")
-    assert tenant.emulator.mvcc, "expected the lock-free MVCC path"
-
     backend = tenant.emulator.inner
     unlocked_calls = 80
     start = time.perf_counter()
@@ -198,44 +160,48 @@ def test_mvcc_read_path_scales_lock_free(learned_builds, bench_metrics):
     eight = _read_throughput(front, vpc, workers=8, reads_per_worker=40)
     speedup = eight / single
     honest = eight / unlocked
+    rw_speedup = _committed(ROOT / "BENCH_serve_concurrency.json",
+                            "read_scaling_8v1")
 
     stats = tenant.emulator.version_stats()
+    locks = front.mvcc_stats()["read_lock_acquisitions"]
     print(f"\nmvcc read path: unlocked {unlocked:,.0f}/s, "
           f"1 worker {single:,.0f}/s, 8 workers {eight:,.0f}/s "
-          f"({speedup:.2f}x, {honest:.2f}x vs unlocked), "
-          f"{stats['pinned_reads']} pinned reads, "
-          f"{stats['read_lock_acquisitions']} read locks")
+          f"({speedup:.2f}x, {honest:.2f}x vs unlocked; "
+          f"committed rw-lock {rw_speedup}x), "
+          f"{stats['pinned_reads']} pinned reads")
     bench_metrics.gauge("read_throughput_unlocked_1_thread_per_s",
                         round(unlocked, 1))
     bench_metrics.gauge("read_throughput_1_worker_per_s", round(single, 1))
     bench_metrics.gauge("read_throughput_8_workers_per_s", round(eight, 1))
     bench_metrics.gauge("read_scaling_8v1", round(speedup, 3))
     bench_metrics.gauge("read_scaling_8v1_unlocked", round(honest, 3))
-    bench_metrics.gauge("read_lock_acquisitions",
-                        stats["read_lock_acquisitions"])
+    bench_metrics.gauge("read_lock_acquisitions", locks)
     bench_metrics.gauge("pinned_reads", stats["pinned_reads"])
     bench_metrics.gauge("workers", 8)
     bench_metrics.gauge("cpu_count", os.cpu_count() or 1)
-    # The zero-lock proof: every read pinned a version instead.
-    assert stats["read_lock_acquisitions"] == 0
+    # Every read pinned a version.
+    assert locks == 0
     assert stats["pinned_reads"] >= 8 * 40
     assert speedup >= 2.0, f"mvcc read path scaled only {speedup:.2f}x"
+    # Uncontended reads are sleep-bound, so the RW lock scaled near
+    # ideally too — the 10% allows scheduler noise.
+    assert speedup >= rw_speedup * 0.9, (
+        f"MVCC read scaling {speedup:.2f}x fell well below the "
+        f"committed RW-lock baseline {rw_speedup}x"
+    )
 
 
 def _churned_read_throughput(front: FrontDoor, vpc: str,
                              readers: int, reads_per_worker: int) -> float:
     """Read throughput while one paced writer mutates continuously.
 
-    The writer pauses *outside* the lock between operations and
-    deletes what it creates, for two reasons.  A tight create-only
-    loop through the writer-preferring RW lock starves readers
-    outright (the writer re-acquires before any queued reader passes
-    the gate — the lock's documented bias, which MVCC is precisely
-    the answer to), and an ever-growing registry makes per-op cost
-    drift upward mid-measurement.  Paced steady-state churn keeps the
-    comparison about the structural stall: RW-lock readers lose the
-    writer's full in-lock service time every cycle, MVCC readers
-    lose nothing.
+    The committed RW-lock rate was measured with exactly this workload,
+    so it stays as it is.  The writer pauses between operations and
+    deletes what it creates: a tight create-only loop through the
+    writer-preferring RW lock starved readers outright, and an
+    ever-growing registry makes per-op cost drift upward
+    mid-measurement.
     """
     stop = threading.Event()
 
@@ -246,7 +212,7 @@ def _churned_read_throughput(front: FrontDoor, vpc: str,
                 {"VpcId": vpc, "CidrBlock": "10.0.1.0/24"},
                 api_key="bench",
             )
-            time.sleep(SERVICE_LATENCY_S)  # pause outside the lock
+            time.sleep(SERVICE_LATENCY_S)  # pause outside the mutex
             if created.success:
                 front.invoke(
                     "DeleteSubnet",
@@ -266,41 +232,66 @@ def _churned_read_throughput(front: FrontDoor, vpc: str,
 
 def test_mvcc_reads_dont_stall_behind_writes(learned_builds,
                                              bench_metrics):
-    """Under continuous write churn, MVCC reads must beat the RW lock.
+    """Under continuous write churn, pinned reads must beat the RW lock.
 
-    This is the structural gap: the writer holds the exclusive lock
-    for its full modeled service time, stalling every RW-lock reader,
-    while MVCC readers keep serving the last published version.
+    This is the structural gap: an RW-lock writer holds the exclusive
+    side for its full modeled service time, stalling every reader,
+    while pinned readers keep serving the last published version.  The
+    RW-lock rate is the committed one (``churned_read_rwlock_per_s``
+    in the ``serve_mvcc`` section of ``BENCH_baseline.json``); the
+    sleep-bound workload makes it a property of the lock, not of the
+    host.
     """
     build = learned_builds["ec2"]
-    rates = {}
-    for mode, mvcc in (("mvcc", True), ("rwlock", False)):
-        front = _make_front(build, mvcc=mvcc)
-        created = front.invoke(
-            "CreateVpc", {"CidrBlock": "10.0.0.0/16"}, api_key="bench"
-        )
-        assert created.success
-        rates[mode] = _churned_read_throughput(
-            front, created.data["id"], readers=8, reads_per_worker=30
-        )
-        if mvcc:
-            stats = front.router.get("bench").emulator.version_stats()
-            assert stats["read_lock_acquisitions"] == 0
-            bench_metrics.gauge("churn_publishes", stats["publishes"])
-            bench_metrics.gauge("churn_reclaimed", stats["reclaimed"])
-            bench_metrics.gauge("churn_versions_live",
-                                stats["versions_live"])
-    advantage = rates["mvcc"] / rates["rwlock"]
-    print(f"\nreads under write churn: mvcc {rates['mvcc']:,.0f}/s vs "
-          f"rwlock {rates['rwlock']:,.0f}/s ({advantage:.2f}x)")
-    bench_metrics.gauge("churned_read_mvcc_per_s",
-                        round(rates["mvcc"], 1))
-    bench_metrics.gauge("churned_read_rwlock_per_s",
-                        round(rates["rwlock"], 1))
+    front = _make_front(build)
+    created = front.invoke(
+        "CreateVpc", {"CidrBlock": "10.0.0.0/16"}, api_key="bench"
+    )
+    assert created.success
+    rate = _churned_read_throughput(
+        front, created.data["id"], readers=8, reads_per_worker=30
+    )
+    rw_rate = _committed(ROOT / "BENCH_baseline.json",
+                         "churned_read_rwlock_per_s", section="serve_mvcc")
+    stats = front.router.get("bench").emulator.version_stats()
+    bench_metrics.gauge("churn_publishes", stats["publishes"])
+    bench_metrics.gauge("churn_reclaimed", stats["reclaimed"])
+    bench_metrics.gauge("churn_versions_live", stats["versions_live"])
+    advantage = rate / rw_rate
+    print(f"\nreads under write churn: mvcc {rate:,.0f}/s vs committed "
+          f"rwlock {rw_rate:,.0f}/s ({advantage:.2f}x)")
+    bench_metrics.gauge("churned_read_mvcc_per_s", round(rate, 1))
+    bench_metrics.gauge("churned_read_rwlock_per_s", rw_rate)
     bench_metrics.gauge("churned_read_advantage", round(advantage, 3))
     assert advantage > 1.0, (
         f"MVCC reads under churn only {advantage:.2f}x the RW lock"
     )
+
+
+def _chunk_seconds(invoke) -> float:
+    """Thread CPU seconds for CHUNK_PAIRS size-neutral write pairs."""
+    start = time.thread_time()
+    for __ in range(CHUNK_PAIRS):
+        created = invoke("CreateVpc", {"CidrBlock": "10.0.0.0/16"})
+        assert created.success
+        invoke("DeleteVpc", {"VpcId": created.data["id"]})
+    return time.thread_time() - start
+
+
+def write_rate_factor(build, candidate, chunks: int = CHUNKS) -> float:
+    """``candidate``'s write rate over a raw emulator's, paired.
+
+    Alternating chunks — raw, then candidate — each timed in thread
+    CPU time, so a noisy neighbour on the host shifts both sides of a
+    pair alike and never counts as work; the median of the per-pair
+    ratios discards the chunks a GC pause or a preemption landed in.
+    """
+    raw = build.make_backend()
+    ratios = []
+    for __ in range(chunks):
+        raw_seconds = _chunk_seconds(raw.invoke)
+        ratios.append(raw_seconds / _chunk_seconds(candidate.invoke))
+    return statistics.median(ratios)
 
 
 def test_write_path_within_10pct_of_rwlock(learned_builds, bench_metrics):
@@ -308,42 +299,21 @@ def test_write_path_within_10pct_of_rwlock(learned_builds, bench_metrics):
 
     No modeled latency here: raw single-thread write dispatch through
     the concurrency layer, where the version publish would actually
-    show up.  Steady-state: one
-    create + one delete per iteration, so the registry — and thus the
-    publish cost — stays constant size.
+    show up.  Size-neutral create + delete pairs keep the registry —
+    and thus the publish cost — constant.  The MVCC/raw rate factor
+    must reach 90% of the committed RW-lock/raw factor.
     """
     build = learned_builds["ec2"]
-    iterations = 400
-
-    def write_rate(mvcc: bool) -> float:
-        emulator = ConcurrentEmulator(build.make_backend(mvcc=mvcc))
-        assert emulator.mvcc is mvcc
-        best = 0.0
-        for __ in range(3):
-            emulator.reset()
-            start = time.perf_counter()
-            for index in range(iterations):
-                created = emulator.invoke(
-                    "CreateVpc", {"CidrBlock": "10.0.0.0/16"}
-                )
-                assert created.success
-                emulator.invoke(
-                    "DeleteVpc", {"VpcId": created.data["id"]}
-                )
-            best = max(
-                best, 2 * iterations / (time.perf_counter() - start)
-            )
-        return best
-
-    locked = write_rate(False)
-    versioned = write_rate(True)
-    ratio = versioned / locked
-    print(f"\nwrite path: rwlock {locked:,.0f}/s, "
-          f"mvcc {versioned:,.0f}/s ({ratio:.3f}x)")
-    bench_metrics.gauge("write_rwlock_per_s", round(locked, 1))
-    bench_metrics.gauge("write_mvcc_per_s", round(versioned, 1))
+    factor = write_rate_factor(
+        build, ConcurrentEmulator(build.make_backend())
+    )
+    ratio = factor / RW_WRITE_RATE_FACTOR
+    print(f"\nwrite path: mvcc {factor:.3f}x the raw emulator's rate, "
+          f"committed rwlock {RW_WRITE_RATE_FACTOR}x ({ratio:.3f}x)")
+    bench_metrics.gauge("write_mvcc_rate_factor", round(factor, 4))
+    bench_metrics.gauge("write_rwlock_rate_factor", RW_WRITE_RATE_FACTOR)
     bench_metrics.gauge("write_throughput_ratio", round(ratio, 3))
-    assert ratio >= 0.90, (
+    assert ratio >= WRITE_RATIO_BOUND, (
         f"MVCC write path at {ratio:.3f}x of the RW-lock baseline"
     )
 
@@ -406,6 +376,43 @@ def test_write_latency_flat_in_registry_size(learned_builds,
     )
 
 
+def test_frontdoor_overhead_single_thread(learned_builds, bench_metrics):
+    """Validation + admission + version pinning must not dominate a
+    serve call."""
+    build = learned_builds["ec2"]
+    raw = build.make_backend()
+    vpc = raw.invoke("CreateVpc", {"CidrBlock": "10.0.0.0/16"})
+    raw_params = {"VpcId": vpc.data["id"]}
+
+    front = FrontDoor(build.module, build.make_backend,
+                      rate=1e9, burst=1e9)
+    created = front.invoke("CreateVpc", {"CidrBlock": "10.0.0.0/16"})
+    front_params = {"VpcId": created.data["id"]}
+
+    calls = 4000
+
+    def rate_of(invoke, params):
+        best = 0.0
+        for __ in range(3):
+            start = time.perf_counter()
+            for __ in range(calls):
+                invoke("DescribeVpcs", params)
+            best = max(best, calls / (time.perf_counter() - start))
+        return best
+
+    raw_rate = rate_of(raw.invoke, raw_params)
+    front_rate = rate_of(front.invoke, front_params)
+    overhead = raw_rate / front_rate
+    print(f"\nDescribeVpcs: raw {raw_rate:,.0f}/s, "
+          f"served {front_rate:,.0f}/s ({overhead:.2f}x overhead)")
+    bench_metrics.gauge("raw_read_calls_per_s", round(raw_rate, 1))
+    bench_metrics.gauge("served_read_calls_per_s", round(front_rate, 1))
+    bench_metrics.gauge("serve_overhead_factor", round(overhead, 3))
+    # Loose ceiling: the guard stack may cost a few x on a
+    # microsecond-scale in-memory call, never an order of magnitude.
+    assert overhead < 10.0, f"serve overhead {overhead:.2f}x"
+
+
 def test_mvcc_soaks_stay_linearizable(learned_builds, bench_metrics):
     """Clean + hostile 8-worker soaks: serial replay byte-identity and
     zero read-lock acquisitions, with chaos outside the version chain."""
@@ -429,7 +436,7 @@ def test_mvcc_soaks_stay_linearizable(learned_builds, bench_metrics):
         assert report.linearizable, report.mismatches
         assert report.requests == 2000
         stats = report.mvcc
-        assert stats["mvcc_tenants"] == stats["tenants"] > 0
+        assert stats["tenants"] == 2
         assert stats["read_lock_acquisitions"] == 0
         assert stats["publishes"] > 0
         print(f"\n{profile} soak: {report.throughput_rps:,.0f} req/s, "

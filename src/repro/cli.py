@@ -229,10 +229,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if profile.active:
         engine = ChaosEngine(profile, seed=args.seed)
         wrap = lambda backend: ChaosProxy(backend, engine)  # noqa: E731
-    backend_factory = (
-        (lambda: build.make_backend(mvcc=False)) if args.no_mvcc
-        else build.make_backend
-    )
     allocation = None
     if args.fair:
         from .serve import AllocationConfig
@@ -258,7 +254,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return 2
         front = ShardedFrontDoor(
-            build.module, backend_factory, shards=args.shards,
+            build.module, build.make_backend, shards=args.shards,
             data_dir=args.shard_dir, kill_schedules=kill_schedules,
             heartbeat=True, telemetry=telemetry, wrap=wrap,
             rate=args.rate, burst=args.burst, seed=args.seed,
@@ -266,7 +262,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         )
     else:
         front = FrontDoor(
-            build.module, backend_factory, telemetry=telemetry, wrap=wrap,
+            build.module, build.make_backend, telemetry=telemetry, wrap=wrap,
             rate=args.rate, burst=args.burst, seed=args.seed,
             allocation=allocation,
         )
@@ -332,14 +328,12 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             label = code or "(success)"
             print(f"    {label:34} {report.by_code[code]:>7}")
         print(f"  admitted writes logged: {report.admitted_writes}")
-        if report.mvcc and report.mvcc.get("mvcc_tenants"):
+        if report.mvcc and report.mvcc.get("tenants"):
             print(f"  mvcc:        "
                   f"{report.mvcc['publishes']} publish(es) "
                   f"({report.mvcc['publish_copied']} entr(ies) copied), "
                   f"{report.mvcc['reclaimed']} reclaimed, "
-                  f"{report.mvcc['pinned_reads']} pinned read(s), "
-                  f"{report.mvcc['read_lock_acquisitions']} read-lock "
-                  f"acquisition(s)")
+                  f"{report.mvcc['pinned_reads']} pinned read(s)")
         if shard_summary is not None:
             print(f"  shards:      {shard_summary['shards']} worker "
                   f"process(es), {shard_summary['restarts']} restart(s), "
@@ -730,10 +724,6 @@ def main(argv: list[str] | None = None) -> int:
     serve_bench.add_argument("--shard-dir", default=None, metavar="DIR",
                              help="per-shard WAL + snapshot root "
                                   "(default: a fresh temp dir)")
-    serve_bench.add_argument("--no-mvcc", action="store_true",
-                             help="serve through the RW-lock fallback "
-                                  "instead of lock-free MVCC reads "
-                                  "(for A/B comparisons)")
     serve_bench.add_argument("--fair", action="store_true",
                              help="admit through the holistic weighted "
                                   "max-min allocator (one shared "

@@ -55,22 +55,18 @@ class LearnedEmulatorBuild:
         return stats
 
     def make_backend(self, telemetry=None,
-                     compile: bool | None = None,
-                     mvcc: bool = True) -> Emulator:
+                     compile: bool | None = None) -> Emulator:
         """A fresh emulator instance over the learned specification.
 
         ``telemetry`` (optional) gives the served emulator a run sink
         of its own: per-API-call spans with error codes.  ``compile``
         selects the compiled fast path versus the tree-walking
-        evaluator (``None``: the build's own default).  ``mvcc=False``
-        opts the emulator out of lock-free versioned reads, keeping
-        the serve layer on its RW-lock fallback.
+        evaluator (``None``: the build's own default).
         """
         use_compile = self.compile if compile is None else compile
         return Emulator(self.module,
                         notfound_codes=self.extraction.notfound_codes,
-                        telemetry=telemetry, compile=use_compile,
-                        mvcc=mvcc)
+                        telemetry=telemetry, compile=use_compile)
 
 
 def build_learned_emulator(

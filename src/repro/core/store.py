@@ -44,9 +44,8 @@ class SavedEmulator:
     notfound_codes: dict[str, str]
     manifest: dict
 
-    def make_backend(self, mvcc: bool = True) -> Emulator:
-        return Emulator(self.module, notfound_codes=self.notfound_codes,
-                        mvcc=mvcc)
+    def make_backend(self) -> Emulator:
+        return Emulator(self.module, notfound_codes=self.notfound_codes)
 
 
 def save_module(

@@ -114,6 +114,12 @@ class _DispatchEntry:
 class Emulator:
     """Executes a spec module as a mock cloud.
 
+    An emulator is single-threaded.  Concurrent serving wraps it in
+    :class:`~repro.serve.concurrency.ConcurrentEmulator`, which reads
+    through immutable published registry versions
+    (:meth:`publish_version`, :meth:`invoke_at`) with no locking and
+    serializes writes; single-threaded use never publishes a version.
+
     Parameters
     ----------
     module:
@@ -149,16 +155,8 @@ class Emulator:
         compile: bool = True,
         compiled: CompiledModule | None = None,
         wal: "MutationLog | str | None" = None,
-        mvcc: bool = True,
     ):
         self.module = module
-        #: Whether the serving layer may read this emulator through
-        #: pinned registry versions with zero locking.  ``mvcc=False``
-        #: keeps the RW-lock fallback in
-        #: :class:`~repro.serve.concurrency.ConcurrentEmulator`.
-        #: Single-threaded use ignores the flag entirely — nothing is
-        #: published until a concurrency wrapper asks for a version.
-        self.mvcc = bool(mvcc)
         self.notfound_codes = dict(notfound_codes or {})
         self.registry = Registry()
         self._index = module.transition_index()
@@ -219,7 +217,7 @@ class Emulator:
         True for bare describes (list-class APIs), for transitions the
         compiler proved effect-free (the pure route), and for unknown
         APIs (which fail before touching state).  The serving layer
-        uses this to route read traffic through a shared lock while
+        uses this to route read traffic to a pinned version while
         writes serialize — the classification must therefore be
         *conservative*: a transition whose compiled body has gone
         stale (mutated after construction) re-classifies as a write.

@@ -30,6 +30,10 @@ from dataclasses import dataclass, field
 from .errors import ApiResponse
 
 
+#: The client-error code a malformed request envelope is answered with.
+SERIALIZATION_ERROR = "SerializationException"
+
+
 class ProtocolError(Exception):
     """The request envelope itself is malformed."""
 
@@ -170,7 +174,7 @@ class JsonEndpoint:
         return {
             "ResponseMetadata": {"RequestId": self._request_id()},
             "Error": {
-                "Code": "SerializationException",
+                "Code": SERIALIZATION_ERROR,
                 "Message": message,
             },
         }

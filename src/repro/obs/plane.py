@@ -112,8 +112,10 @@ class ObsPlane:
                 ctx.root = span
                 yield ctx
         except BaseException as error:
-            ctx.outcome = "error"
+            # An exception the body already classified (a malformed
+            # envelope is a client error) keeps that outcome.
             if not ctx.error_code:
+                ctx.outcome = "error"
                 ctx.error_code = type(error).__name__
             raise
         finally:

@@ -40,11 +40,7 @@ import random
 
 from ..serve.allocation import AllocationConfig
 from ..serve.frontdoor import FrontDoor
-from ..serve.loadgen import (
-    SHED_CODES,
-    _TrafficModel,
-    verify_linearizable,
-)
+from ..serve.loadgen import SHED_CODES, _TrafficModel
 from ..telemetry import Telemetry
 
 
@@ -212,13 +208,6 @@ def _fair_front(build, pool_rate: float, pool_burst: float,
     )
 
 
-def _verify(front) -> tuple[bool, list[str]]:
-    verifier = getattr(front, "verify_linearizable", None)
-    if callable(verifier):
-        return verifier()
-    return verify_linearizable(front)
-
-
 def noisy_neighbor(
     build,
     seed: int = 7,
@@ -249,14 +238,14 @@ def noisy_neighbor(
         front, [(name, victim_rate) for name in victim_names],
         seconds, seed=seed,
     )
-    iso_ok, iso_mismatches = _verify(front)
+    iso_ok, iso_mismatches = front.verify_linearizable()
     result["phases"]["isolated"] = isolated
 
     front = _fair_front(build, pool_rate, pool_burst, seed, chaos=chaos)
     clients = [(name, victim_rate) for name in victim_names]
     clients.append(("aggressor", victim_rate * aggressor_mult))
     contended = drive_fair_load(front, clients, seconds, seed=seed)
-    con_ok, con_mismatches = _verify(front)
+    con_ok, con_mismatches = front.verify_linearizable()
     result["phases"]["contended"] = contended
     result["allocation"] = front.allocator.snapshot()
     result["allocation_history"] = list(front.allocator.history)

@@ -3,9 +3,9 @@
 ``repro.serve`` turns a single-threaded learned emulator into a
 production-shaped, multi-tenant service front end:
 
-- :mod:`locks` — a writer-preferring reader/writer lock;
-- :mod:`concurrency` — thread-safe dispatch and the commit-ordered
-  admitted-request log;
+- :mod:`concurrency` — thread-safe dispatch (lock-free pinned reads,
+  serialized writes) and the commit-ordered admitted-request log;
+- :mod:`mvcc` — the version chain and reader pins behind those reads;
 - :mod:`validation` — spec-derived request validation;
 - :mod:`admission` — per-tenant token buckets, the bounded admission
   queue and degraded-mode overload shedding;
@@ -46,7 +46,6 @@ from .deadline import (
 )
 from .frontdoor import ConfigError, FrontDoor
 from .loadgen import LoadGenerator, LoadReport, verify_linearizable
-from .locks import RWLock
 from .shard import (
     ShardConfig,
     ShardedFrontDoor,
@@ -84,7 +83,6 @@ __all__ = [
     "LoadReport",
     "MISSING_TOKEN",
     "OVERLOADED",
-    "RWLock",
     "RequestValidator",
     "ShardConfig",
     "ShardLog",

@@ -10,7 +10,7 @@ time:
   ``RequestLimitExceeded`` and a ``RetryAfterSeconds`` hint computed
   from the refill rate;
 - a **bounded admission queue**: requests beyond the concurrency
-  target wait their turn implicitly (on the emulator's RW lock), but
+  target wait their turn implicitly (on the emulator's writer mutex), but
   only ``queue_depth`` of them may be in the building at once — the
   excess sheds with ``ServiceUnavailable`` instead of growing an
   unbounded backlog;

@@ -12,8 +12,8 @@ edge does::
           crosses the (client-region -> resource-region) link and can
           pay RTT, get lost, or bounce off a partition]
       -> [chaos / resilience proxies, if configured]
-      -> concurrent dispatch  (ConcurrentEmulator: RW lock, admitted
-                               log)
+      -> concurrent dispatch  (ConcurrentEmulator: pinned reads,
+                               serialized writes, admitted log)
       -> the emulator
 
 Every layer speaks :class:`~repro.interpreter.errors.ApiResponse`, so
@@ -28,13 +28,19 @@ from __future__ import annotations
 import json
 from functools import partial
 
-from ..interpreter.endpoint import RequestIdSequence
+from ..interpreter.endpoint import (
+    ProtocolError,
+    RequestIdSequence,
+    SERIALIZATION_ERROR,
+)
 from ..interpreter.errors import ApiResponse
 from ..obs.tracectx import current_request
 from ..resilience.policy import VirtualClock
 from ..spec import ast
 from .admission import AdmissionController
+from .concurrency import sum_version_stats
 from .deadline import DeadlineError, envelope_meta, request_meta
+from .loadgen import replay_diff
 from .tenancy import AuthError, Tenant, TenantRouter
 from .validation import RequestValidator
 
@@ -313,11 +319,18 @@ class FrontDoor:
         if isinstance(request, dict):
             api = str(request.get("Action", ""))
         with obs.request(tenant.name, api) as ctx:
-            if deadline is None and not retry:
-                body = tenant.endpoint.dispatch(request)
-            else:
-                with request_meta(deadline, retry):
+            try:
+                if deadline is None and not retry:
                     body = tenant.endpoint.dispatch(request)
+                else:
+                    with request_meta(deadline, retry):
+                        body = tenant.endpoint.dispatch(request)
+            except ProtocolError:
+                # A malformed envelope is the caller's fault: the wire
+                # answers it with a client error, so the SLO must not
+                # count it against the service.
+                obs.classify(ctx, SERIALIZATION_ERROR)
+                raise
             error_body = body.get("Error") if isinstance(body, dict) else None
             obs.classify(ctx, (error_body or {}).get("Code", ""))
         return body
@@ -376,6 +389,39 @@ class FrontDoor:
                 ctx, "" if response.success else response.error_code
             )
         return response
+
+    # -- verification ----------------------------------------------------------
+
+    def verify_linearizable(self) -> tuple[bool, list[str]]:
+        """Serial replay of each tenant's admitted log == live registry?
+
+        For every tenant, :func:`~repro.serve.loadgen.replay_diff`
+        replays its admitted write attempts in log order on a fresh
+        emulator from this front door's factory and compares the
+        canonical snapshot byte-for-byte with the tenant's live one.
+        Returns ``(ok, mismatches)``.
+        """
+        mismatches: list[str] = []
+        for tenant in self.router.tenants():
+            diff = replay_diff(
+                self.emulator_factory,
+                self.admitted.per_tenant(tenant.name),
+                tenant.emulator.snapshot(),
+            )
+            if diff:
+                mismatches.append(
+                    f"tenant {tenant.name}: serial replay diverges from "
+                    f"the concurrent registry ({diff})"
+                )
+        return (not mismatches), mismatches
+
+    def mvcc_stats(self) -> dict:
+        """Version accounting summed over the tenants
+        (:func:`~repro.serve.concurrency.sum_version_stats`)."""
+        return sum_version_stats(
+            tenant.emulator.version_stats()
+            for tenant in self.router.tenants()
+        )
 
     def _auth_envelope(self, error: AuthError) -> dict:
         if self.telemetry is not None:

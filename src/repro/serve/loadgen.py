@@ -72,9 +72,9 @@ class LoadReport:
     #: sampling, drift) when one was attached to the front door.
     obs: dict | None = None
     #: Aggregated MVCC version accounting across tenants (publishes,
-    #: reclaimed, pinned reads, lock acquisitions) — ``None`` until a
-    #: verifying run collects it.  ``read_lock_acquisitions`` must be
-    #: 0 when every tenant ran the lock-free path.
+    #: reclaimed, pinned reads; see
+    #: :func:`~repro.serve.concurrency.sum_version_stats`) — ``None``
+    #: until a verifying run collects it.
     mvcc: dict | None = None
 
     @property
@@ -428,20 +428,10 @@ class LoadGenerator:
         if obs is not None:
             report.obs = obs.report()
         if verify:
-            # A front door may supply its own checks (the sharded one
-            # replays merged per-shard attempt logs over RPC); default
-            # to the in-process serial replay otherwise.
-            verifier = getattr(self.frontdoor, "verify_linearizable", None)
-            ok, mismatches = (
-                verifier() if callable(verifier)
-                else verify_linearizable(self.frontdoor)
-            )
+            ok, mismatches = self.frontdoor.verify_linearizable()
             report.linearizable = ok
             report.mismatches = mismatches
-            stats = getattr(self.frontdoor, "mvcc_stats", None)
-            report.mvcc = (
-                stats() if callable(stats) else mvcc_stats(self.frontdoor)
-            )
+            report.mvcc = self.frontdoor.mvcc_stats()
         return report
 
 
@@ -461,86 +451,32 @@ def _canonical(snapshot: dict) -> str:
     return json.dumps(snapshot, sort_keys=True)
 
 
-def mvcc_stats(frontdoor) -> dict:
-    """Aggregate version accounting across the front door's tenants.
+def replay_diff(emulator_factory, records, live: dict) -> str:
+    """Serial replay of one tenant's write attempts vs its live state.
 
-    Sums each tenant's :meth:`ConcurrentEmulator.version_stats
-    <repro.serve.concurrency.ConcurrentEmulator.version_stats>`:
-    publishes, reclaimed versions, pinned reads, and — the lock-free
-    proof — RW-lock acquisition counts, which must be zero on the read
-    side when every tenant ran MVCC.
+    Builds a fresh emulator from ``emulator_factory``, replays
+    ``records`` (admitted-log records in commit order; ``_Reset``
+    records reset the replica) and compares canonical snapshots
+    byte-for-byte with the snapshot ``live``.  A lost, duplicated,
+    torn or re-ordered mutation anywhere in the concurrent run shows up
+    as a diff (IDs, state values and allocator counters are all in the
+    snapshot).  Returns ``""`` when they match, else a short
+    description of the difference.
     """
-    stats = {
-        "tenants": 0,
-        "mvcc_tenants": 0,
-        "publishes": 0,
-        "publish_copied": 0,
-        "reclaimed": 0,
-        "versions_live": 0,
-        "pinned_reads": 0,
-        "read_lock_acquisitions": 0,
-        "write_lock_acquisitions": 0,
-    }
-    for tenant in frontdoor.router.tenants():
-        version_stats = getattr(tenant.emulator, "version_stats", None)
-        if version_stats is None:
-            continue
-        per_tenant = version_stats()
-        stats["tenants"] += 1
-        if per_tenant.get("mvcc"):
-            stats["mvcc_tenants"] += 1
-            stats["publishes"] += per_tenant.get("publishes", 0)
-            stats["publish_copied"] += per_tenant.get("publish_copied", 0)
-            stats["reclaimed"] += per_tenant.get("reclaimed", 0)
-            stats["versions_live"] += per_tenant.get("versions_live", 0)
-            stats["pinned_reads"] += per_tenant.get("pinned_reads", 0)
-        stats["read_lock_acquisitions"] += per_tenant.get(
-            "read_lock_acquisitions", 0
-        )
-        stats["write_lock_acquisitions"] += per_tenant.get(
-            "write_lock_acquisitions", 0
-        )
-    return stats
+    replica = emulator_factory()
+    for record in records:
+        if record["api"] == "_Reset":
+            replica.reset()
+        else:
+            replica.invoke(record["api"], record["params"])
+    want = _canonical(live)
+    got = _canonical(replica.snapshot())
+    if want == got:
+        return ""
+    return f"live {len(want)}B != replay {len(got)}B"
 
 
 def verify_linearizable(frontdoor) -> tuple[bool, list[str]]:
-    """Serial replay of each tenant's admitted log == live registry?
-
-    For every tenant: build a fresh emulator from the front door's own
-    factory, replay that tenant's admitted write attempts in log
-    order, and compare canonical snapshots byte-for-byte.  A lost,
-    duplicated, torn or re-ordered mutation anywhere in the concurrent
-    run shows up as a diff (IDs, state values and allocator counters
-    are all in the snapshot).
-
-    MVCC tenants are additionally held to the lock-free contract: if a
-    tenant ran the versioned read path but its RW lock recorded *any*
-    read acquisition, something routed a read through the fallback —
-    reported as a mismatch even when the registries agree, because the
-    performance claim (reads never lock) is part of what this check
-    certifies.
-    """
-    mismatches: list[str] = []
-    for tenant in frontdoor.router.tenants():
-        replica = frontdoor.emulator_factory()
-        for record in frontdoor.admitted.per_tenant(tenant.name):
-            if record["api"] == "_Reset":
-                replica.reset()
-            else:
-                replica.invoke(record["api"], record["params"])
-        live = _canonical(tenant.emulator.snapshot())
-        replayed = _canonical(replica.snapshot())
-        if live != replayed:
-            mismatches.append(
-                f"tenant {tenant.name}: serial replay diverges from "
-                f"the concurrent registry "
-                f"(live {len(live)}B != replay {len(replayed)}B)"
-            )
-        if getattr(tenant.emulator, "mvcc", False):
-            reads_locked = tenant.emulator.lock.read_acquisitions
-            if reads_locked:
-                mismatches.append(
-                    f"tenant {tenant.name}: MVCC mode but "
-                    f"{reads_locked} read(s) took the RW lock"
-                )
-    return (not mismatches), mismatches
+    """``frontdoor.verify_linearizable()``; see
+    :meth:`repro.serve.frontdoor.FrontDoor.verify_linearizable`."""
+    return frontdoor.verify_linearizable()

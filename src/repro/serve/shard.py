@@ -68,10 +68,10 @@ from ..resilience.chaos import (
 )
 from ..resilience.policy import VirtualClock
 from ..spec import parse_module, serialize_module
-from .concurrency import ConcurrentEmulator
+from .concurrency import ConcurrentEmulator, sum_version_stats
 from .deadline import current_meta, expired_response
 from .frontdoor import ConfigError, FrontDoor, _GuardedBackend
-from .loadgen import _canonical
+from .loadgen import _canonical, replay_diff
 from .tenancy import Tenant, TenantRouter
 
 SHARD_WAL_NAME = "shard.wal"
@@ -218,7 +218,6 @@ class _ShardWorker:
     def _fresh(self) -> Emulator:
         return Emulator(
             self.module, notfound_codes=self.config.notfound_codes,
-            mvcc=True,
         )
 
     def _tenant(self, name: str) -> ConcurrentEmulator:
@@ -1076,7 +1075,6 @@ class _ShardBackend:
         self.tenant = tenant
         self.shard = supervisor.shard_for(tenant)
         self._probe = probe  # local emulator, classification only
-        self.mvcc = False    # versions live worker-side
         self.log = None
 
     # -- classification (local, no RPC) ------------------------------------
@@ -1191,13 +1189,11 @@ class ShardedFrontDoor(FrontDoor):
     """The front door, fanned out over shard worker processes.
 
     The envelope/auth/validation/admission layers are unchanged; the
-    per-tenant backend routes to the owning shard over RPC.  Supplies
-    its own :meth:`verify_linearizable` (merged per-shard attempt logs,
+    per-tenant backend routes to the owning shard over RPC.  Overrides
+    :meth:`verify_linearizable` (merged per-shard attempt logs,
     replayed serially, compared byte-for-byte against RPC-fetched
     shard snapshots — with recovery self-check failures folded in) and
-    :meth:`mvcc_stats` (worker version accounting, merged);
-    :class:`~repro.serve.loadgen.LoadGenerator` picks both up
-    automatically.
+    :meth:`mvcc_stats` (worker version accounting, merged).
     """
 
     def __init__(
@@ -1294,14 +1290,6 @@ class ShardedFrontDoor(FrontDoor):
         for record in records:
             by_tenant.setdefault(record["tenant"], []).append(record)
         for tenant in sorted(by_tenant):
-            replica = self.emulator_factory()
-            for record in sorted(
-                by_tenant[tenant], key=lambda r: r["seq"]
-            ):
-                if record["type"] == "reset":
-                    replica.reset()
-                else:
-                    replica.invoke(record["api"], record["params"])
             shard = self.supervisor.shard_for(tenant)
             live = self.supervisor.snapshot(shard, tenant)
             if live is None:
@@ -1310,11 +1298,16 @@ class ShardedFrontDoor(FrontDoor):
                     "the linearizability snapshot"
                 )
                 continue
-            if _canonical(replica.snapshot()) != _canonical(live):
+            diff = replay_diff(
+                self.emulator_factory,
+                sorted(by_tenant[tenant], key=lambda r: r["seq"]),
+                live,
+            )
+            if diff:
                 mismatches.append(
                     f"tenant {tenant}: serial replay of the merged "
                     f"shard-{shard} attempt log diverges from the "
-                    "worker's live registry"
+                    f"worker's live registry ({diff})"
                 )
         self.supervisor.merge_metrics()
         return (not mismatches), mismatches
@@ -1326,30 +1319,13 @@ class ShardedFrontDoor(FrontDoor):
         restarted shard's chain starts fresh — its durable state is
         what recovery proves, not its version counters).
         """
-        merged = {
-            "tenants": 0,
-            "mvcc_tenants": 0,
-            "publishes": 0,
-            "publish_copied": 0,
-            "reclaimed": 0,
-            "versions_live": 0,
-            "pinned_reads": 0,
-            "read_lock_acquisitions": 0,
-            "write_lock_acquisitions": 0,
-            "shards": self.supervisor.shards,
-            "restarts": self.supervisor.restarts,
-        }
-        for stats in self.supervisor.shard_stats():
-            for per_tenant in stats["version_stats"]:
-                merged["tenants"] += 1
-                if per_tenant.get("mvcc"):
-                    merged["mvcc_tenants"] += 1
-                    for key in ("publishes", "publish_copied", "reclaimed",
-                                "versions_live", "pinned_reads"):
-                        merged[key] += per_tenant.get(key, 0)
-                for key in ("read_lock_acquisitions",
-                            "write_lock_acquisitions"):
-                    merged[key] += per_tenant.get(key, 0)
+        merged = sum_version_stats(
+            per_tenant
+            for stats in self.supervisor.shard_stats()
+            for per_tenant in stats["version_stats"]
+        )
+        merged["shards"] = self.supervisor.shards
+        merged["restarts"] = self.supervisor.restarts
         return merged
 
     def close(self) -> None:

@@ -196,11 +196,15 @@ class Tracer:
         root (an attached child cannot be discarded this way).
         """
         with self._lock:
-            try:
-                self.roots.remove(span)
-            except ValueError:
-                return False
-        return True
+            roots = self.roots
+            # The sampler discards a request's root as the request
+            # finishes, so it sits at (or near) the tail; scanning from
+            # the front would cost one step per kept root.
+            for index in range(len(roots) - 1, -1, -1):
+                if roots[index] is span:
+                    del roots[index]
+                    return True
+        return False
 
     def walk(self):
         """Every finished-or-open span, pre-order (parents first)."""

@@ -493,7 +493,7 @@ class TestServeLayerKillSites:
         from repro.serve import ConcurrentEmulator
 
         module = parse_module(PUBLIC_IP_MODULE, service="toy")
-        inner = Emulator(module, mvcc=True)
+        inner = Emulator(module)
         return inner, ConcurrentEmulator(inner, tenant="t", log=None)
 
     def test_mid_publish_crash_commits_but_never_publishes(self):

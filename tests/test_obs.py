@@ -675,6 +675,29 @@ class TestObsParity:
         assert instrumented.linearizable and plain.linearizable
         assert plain.obs is None and instrumented.obs is not None
 
+    def test_malformed_envelope_is_a_client_error(self, build):
+        from repro.interpreter import ProtocolError
+
+        telemetry = Telemetry(service=build.service)
+        plane = ObsPlane(telemetry, sample_keep=1.0)
+        front = FrontDoor(build.module, build.make_backend,
+                          telemetry=telemetry, seed=5)
+        reply = json.loads(front.handle('{"Parameters": {}}'))
+        assert reply["Error"]["Code"] == "SerializationException"
+        with pytest.raises(ProtocolError):
+            front.dispatch({"Parameters": {}})
+        roots = [span for span in telemetry.tracer.walk()
+                 if span.name == "serve.request"]
+        assert len(roots) == 2
+        for root in roots:
+            assert root.attributes["outcome"] == "client_error"
+            assert root.attributes["error_code"] == "SerializationException"
+        now = telemetry.clock.now()
+        assert plane.store.total("serve.requests", 60.0, now,
+                                 outcome="client_error") == 2
+        assert plane.store.total("serve.requests", 60.0, now,
+                                 outcome="error") == 0
+
 
 class TestServeBenchObsCli:
     def test_serve_bench_obs_emits_schema2_trace(self, tmp_path, capsys):

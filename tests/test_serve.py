@@ -1,7 +1,6 @@
 """Tests for the hardened concurrent serving layer (repro.serve)."""
 
 import json
-import threading
 
 import pytest
 
@@ -16,7 +15,6 @@ from repro.serve import (
     FrontDoor,
     LoadGenerator,
     OVERLOADED,
-    RWLock,
     THROTTLED,
 )
 from repro.telemetry import Telemetry
@@ -29,66 +27,6 @@ def build():
 
 def make_front(build, **kwargs):
     return FrontDoor(build.module, build.make_backend, **kwargs)
-
-
-class TestRWLock:
-    def test_readers_share(self):
-        lock = RWLock()
-        both_in = threading.Barrier(2, timeout=5)
-
-        def reader():
-            with lock.read():
-                both_in.wait()  # only passes if both hold it at once
-
-        threads = [threading.Thread(target=reader) for __ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=5)
-        assert not any(t.is_alive() for t in threads)
-
-    def test_writer_excludes_readers(self):
-        lock = RWLock()
-        order = []
-        writer_in = threading.Event()
-
-        def writer():
-            with lock.write():
-                writer_in.set()
-                order.append("write-start")
-                order.append("write-end")
-
-        def reader():
-            writer_in.wait(timeout=5)
-            with lock.read():
-                order.append("read")
-
-        w, r = threading.Thread(target=writer), threading.Thread(
-            target=reader
-        )
-        w.start(), r.start()
-        w.join(timeout=5), r.join(timeout=5)
-        assert order == ["write-start", "write-end", "read"]
-
-    def test_writer_preference_blocks_new_readers(self):
-        lock = RWLock()
-        lock.acquire_read()
-        write_done = threading.Event()
-
-        def writer():
-            with lock.write():
-                write_done.set()
-
-        thread = threading.Thread(target=writer)
-        thread.start()
-        # A waiting writer parks new readers behind it.
-        import time
-
-        time.sleep(0.05)
-        assert not write_done.is_set()
-        lock.release_read()
-        thread.join(timeout=5)
-        assert write_done.is_set()
 
 
 class TestTokenBucket:
@@ -122,7 +60,7 @@ class TestReadOnlyClassification:
                 assert emulator.read_only(api), api
 
     def test_unknown_api_classified_read(self, build):
-        # It fails before touching state, so it rides the shared lock.
+        # It fails before touching state, so it reads a pinned version.
         assert build.make_backend().read_only("NoSuchApi")
 
     def test_concurrent_emulator_requires_classifier(self):
@@ -408,6 +346,28 @@ class TestAdmittedLog:
         lines = target.read_text().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[1])["tenant"] == "b"
+
+
+class TestVerifyLinearizable:
+    def test_unlogged_mutation_is_a_mismatch(self, build):
+        front = make_front(build)
+        for tenant in ("alice", "bob"):
+            assert front.invoke(
+                "CreateVpc", {"CidrBlock": "10.0.0.0/16"}, api_key=tenant
+            ).success
+        assert front.verify_linearizable() == (True, [])
+        # A committed write missing from the admitted log: serial
+        # replay cannot reproduce it.
+        alice = front.router.get("alice").emulator
+        alice.log = None
+        assert alice.invoke("CreateVpc", {"CidrBlock": "10.1.0.0/16"}).success
+        ok, mismatches = front.verify_linearizable()
+        assert not ok
+        assert len(mismatches) == 1
+        assert mismatches[0].startswith("tenant alice: serial replay")
+        stats = front.mvcc_stats()
+        assert stats["tenants"] == 2
+        assert stats["read_lock_acquisitions"] == 0
 
 
 class TestConcurrentSoak:

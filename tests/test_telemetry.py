@@ -66,6 +66,27 @@ class TestSpans:
             "orphan", "retry",
         ]
 
+    def test_discard_root_removes_exactly_that_root(self):
+        tele = Telemetry()
+        for index in range(200):
+            with tele.span(f"r{index}"):
+                pass
+        with tele.span("target") as target:
+            with tele.span("child") as child:
+                pass
+        with tele.span("after"):
+            pass
+        roots = tele.tracer.roots
+        early = roots[3]
+        assert not tele.tracer.discard_root(child)
+        assert tele.tracer.discard_root(target)
+        assert not tele.tracer.discard_root(target)
+        assert tele.tracer.discard_root(early)
+        names = [root.name for root in roots]
+        assert len(names) == 200
+        assert "target" not in names and "r3" not in names
+        assert names[-1] == "after"
+
     def test_durations_track_the_virtual_clock(self):
         tele = Telemetry()
         with tele.span("slow") as span:
