@@ -13,6 +13,7 @@ microseconds (no modeled latency), so regressions in the instrument
 itself are visible even when the sleep hides them.
 """
 
+import statistics
 import threading
 import time
 
@@ -25,6 +26,11 @@ from bench_serve_mvcc import ModeledLatencyEmulator
 #: Acceptance bar: attached plane may cost at most this throughput
 #: fraction on the modeled hot path.
 MAX_OVERHEAD = 0.05
+
+#: Plain/instrumented chunk pairs per measurement, and reads per
+#: worker in one chunk (4 workers, one 2 ms modeled sleep per read).
+OVERHEAD_PAIRS = 25
+CHUNK_READS = 40
 
 
 def _make_front(build, with_obs: bool, modeled: bool) -> FrontDoor:
@@ -76,28 +82,41 @@ def _seed_vpc(front: FrontDoor) -> dict:
 
 
 def test_obs_overhead_under_five_percent(learned_builds, bench_metrics):
-    """Full plane attached: <5% throughput loss on the modeled path."""
+    """Full plane attached: <5% throughput loss on the modeled path.
+
+    Measured from alternating chunks — plain, then instrumented — so
+    a scheduler hiccup on the host lands on both sides of a pair
+    alike; the median of the per-pair rate ratios discards the pairs
+    one landed in unevenly.  (Best-of-3 whole runs read anywhere from
+    -9% to +2% on a 2-vCPU host: noise, not the plane.)
+    """
     build = learned_builds["ec2"]
     plain = _make_front(build, with_obs=False, modeled=True)
     instrumented = _make_front(build, with_obs=True, modeled=True)
     plain_params = _seed_vpc(plain)
     obs_params = _seed_vpc(instrumented)
 
-    # Interleave the runs so machine noise hits both sides alike.
-    plain_best = obs_best = 0.0
-    for __ in range(3):
-        plain_best = max(plain_best, _read_throughput(
-            plain, plain_params, workers=4, reads_per_worker=80))
-        obs_best = max(obs_best, _read_throughput(
-            instrumented, obs_params, workers=4, reads_per_worker=80))
+    plain_rates, obs_rates, ratios = [], [], []
+    for __ in range(OVERHEAD_PAIRS):
+        plain_rate = _read_throughput(
+            plain, plain_params, workers=4, reads_per_worker=CHUNK_READS)
+        obs_rate = _read_throughput(
+            instrumented, obs_params, workers=4,
+            reads_per_worker=CHUNK_READS)
+        plain_rates.append(plain_rate)
+        obs_rates.append(obs_rate)
+        ratios.append(obs_rate / plain_rate)
 
-    overhead = 1.0 - obs_best / plain_best
-    print(f"\nobs overhead (modeled 2ms path): plain {plain_best:,.0f}/s, "
-          f"instrumented {obs_best:,.0f}/s ({overhead:+.2%})")
+    overhead = 1.0 - statistics.median(ratios)
+    plain_median = statistics.median(plain_rates)
+    obs_median = statistics.median(obs_rates)
+    print(f"\nobs overhead (modeled 2ms path, median of "
+          f"{OVERHEAD_PAIRS} paired chunks): plain {plain_median:,.0f}/s, "
+          f"instrumented {obs_median:,.0f}/s ({overhead:+.2%})")
     bench_metrics.gauge("modeled_throughput_plain_per_s",
-                        round(plain_best, 1))
+                        round(plain_median, 1))
     bench_metrics.gauge("modeled_throughput_obs_per_s",
-                        round(obs_best, 1))
+                        round(obs_median, 1))
     bench_metrics.gauge("modeled_overhead_fraction", round(overhead, 4))
     assert overhead < MAX_OVERHEAD, (
         f"observability plane cost {overhead:.2%} on the modeled hot "
@@ -106,7 +125,7 @@ def test_obs_overhead_under_five_percent(learned_builds, bench_metrics):
 
     # The sampler must have been exercised, or the bench proves nothing.
     sampler = instrumented.telemetry.obs.sampler
-    assert sampler.seen >= 4 * 80
+    assert sampler.seen >= OVERHEAD_PAIRS * 4 * CHUNK_READS
     assert sampler.kept < sampler.seen
 
 

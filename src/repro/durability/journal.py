@@ -153,13 +153,12 @@ def scan_records(path: str | Path) -> JournalScan:
 class JournalWriter:
     """Append-only, fsync'd writer over the CRC framing.
 
-    Shared by the build journal, the emulator's write-ahead mutation
-    log and the shard workers' attempt logs.  ``append`` is a kill
-    site — ``mid-journal-append`` by default; the serve layer's logs
-    pass ``kill_site="mid-serve-wal-append"`` so schedules can target
-    them independently.  An injected crash there leaves a deliberately
-    torn tail (half a line, flushed but not fsync'd) that the reader
-    must tolerate.
+    Shared by the build journal and the emulator's write-ahead log.
+    ``append`` is a kill site — ``mid-journal-append`` by default; the
+    emulator's WAL passes ``kill_site="mid-serve-wal-append"`` so
+    schedules can target the two independently.  An injected crash
+    there leaves a deliberately torn tail (half a line, flushed but
+    not fsync'd) that the reader must tolerate.
     """
 
     def __init__(self, path: str | Path, fsync: bool = True,

@@ -1,20 +1,28 @@
-"""Write-ahead mutation log for a serving emulator.
+"""Write-ahead log of an emulator's write attempts.
 
-The emulator logs every state-mutating API call — logically, as
-``(api, params)`` — *before* committing its transaction.  Because the
-interpreter is deterministic (IDs, defaults, transition bodies), a
-restored snapshot plus a replay of the logged calls after the
-snapshot's ``wal_seq`` reconstructs the exact pre-crash registry.
-Logging the intent rather than the physical writes keeps records tiny
-and makes the log trivially valid against any snapshot of the same
+The emulator logs every state-mutating API call *attempt* — logically,
+as ``(api, params)`` — before it binds and dispatches the call, whether
+the call then succeeds or fails.  Failed attempts matter: a failed
+create has already burned a deterministic ID (the allocator never rolls
+back), so a log of successes alone cannot reproduce the allocator
+state.  Because the interpreter is deterministic (IDs, defaults,
+transition bodies), a restored snapshot plus a replay of the logged
+attempts after the snapshot's ``wal_seq`` reconstructs the exact
+pre-crash registry: each failed call re-fails the same way and burns
+the same ID.  Logging the intent rather than the physical writes keeps
+records tiny and makes the log valid against any snapshot of the same
 emulator.
 
-The log shares the build journal's CRC framing and torn-tail scan, so
-a crash *during* an append (the ``mid-journal-append`` kill site) is
-recovered the same way: drop the torn tail, replay the valid prefix.
-Write-ahead ordering makes the crash window safe in both directions —
-a record without its commit replays the mutation on recovery
-(durable intent), and a commit can never exist without its record.
+The log shares the build journal's CRC framing and torn-tail scan.
+Its appends are the ``mid-serve-wal-append`` kill site (the build
+journal keeps ``mid-journal-append``), so crash schedules can target
+the two independently.  A crash *during* an append leaves a torn
+half-line that the reopening scan drops, and the next append reuses
+its seq — correctly, because the attempt never reached the
+interpreter.  Write-ahead ordering makes the rest of the crash window
+safe: a record without its commit (the ``mid-transition-commit`` kill
+site) replays the call on recovery, and a commit can never exist
+without its record.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ WAL_NAME = "emulator.wal"
 
 
 class MutationLog:
-    """Append-only intent log of committed emulator mutations."""
+    """Append-only intent log of an emulator's write attempts."""
 
     def __init__(self, path: str | Path, fsync: bool = True,
                  stats: DurabilityStats | None = None):
@@ -37,7 +45,9 @@ class MutationLog:
             target = target / WAL_NAME
         self.path = target
         self.stats = stats if stats is not None else DurabilityStats()
-        self._writer = JournalWriter(self.path, fsync=fsync)
+        self._writer = JournalWriter(
+            self.path, fsync=fsync, kill_site="mid-serve-wal-append"
+        )
         scan = scan_records(self.path)
         self.stats.torn_records_dropped += scan.dropped
         self._records = scan.records
@@ -46,7 +56,7 @@ class MutationLog:
 
     @property
     def seq(self) -> int:
-        """Sequence number of the last logged mutation (0 = none)."""
+        """Sequence number of the last logged attempt (0 = none)."""
         return self._seq
 
     @property
@@ -54,25 +64,22 @@ class MutationLog:
         return list(self._records)
 
     def log(self, api: str, params: dict | None) -> int:
-        """Log one mutating call about to commit; returns its seq."""
-        self._seq += 1
-        record = {
+        """Log one write attempt about to dispatch; returns its seq."""
+        return self._append({
             "type": "mutation",
-            "seq": self._seq,
+            "seq": self._seq + 1,
             "api": api,
             "params": encode_value(dict(params or {})),
-        }
-        self._writer.append(record)
-        self._records.append(record)
-        self.stats.journal_appends += 1
-        return self._seq
+        })
 
     def log_reset(self) -> int:
         """A registry reset is a mutation too (replay must repeat it)."""
-        self._seq += 1
-        record = {"type": "reset", "seq": self._seq}
+        return self._append({"type": "reset", "seq": self._seq + 1})
+
+    def _append(self, record: dict) -> int:
         self._writer.append(record)
         self._records.append(record)
+        self._seq = record["seq"]
         self.stats.journal_appends += 1
         return self._seq
 
@@ -83,15 +90,15 @@ class MutationLog:
 def replay_mutations(emulator, records: list[dict],
                      after_seq: int = 0,
                      stats: DurabilityStats | None = None) -> int:
-    """Re-apply logged mutations with ``seq > after_seq`` to an emulator.
+    """Re-apply logged attempts with ``seq > after_seq`` to an emulator.
 
     Replay goes through the normal ``invoke`` path (with the WAL
     detached, so replay is not re-logged); determinism guarantees the
     same IDs and state fall out.  Responses are not checked for
-    success: a mutation whose commit was lost to the crash re-executes
-    and succeeds, while one that also failed originally fails again
-    identically — either way the registry converges on the pre-crash
-    state.
+    success: an attempt whose commit was lost to the crash re-executes
+    and succeeds, while one that failed originally fails again
+    identically and burns the same ID — either way the registry
+    converges on the pre-crash state.
     """
     replayed = 0
     for record in records:

@@ -140,11 +140,12 @@ class Emulator:
         e.g. sharded differential passes compile once per round, not
         once per shard).  Overrides ``compile``.
     wal:
-        Optional write-ahead mutation log (a
+        Optional write-ahead log (a
         :class:`~repro.durability.wal.MutationLog` or a path to one).
-        Every mutating call is logged before its transaction commits,
-        so :meth:`recover` from the latest :meth:`snapshot` replays the
-        emulator to its exact pre-crash state.
+        Every write attempt is logged before it dispatches, failed
+        ones included, so :meth:`recover` from the latest
+        :meth:`snapshot` replays the emulator to its exact pre-crash
+        state, burned IDs and all.
     """
 
     def __init__(
@@ -195,7 +196,10 @@ class Emulator:
             self.durability = wal.stats
         else:
             self._wal = MutationLog(wal, stats=self.durability)
-        self._wal_seq = self._wal.seq if self._wal is not None else 0
+        #: The last WAL record this state includes.  A fresh registry
+        #: includes none, whatever the log holds: :meth:`recover` from
+        #: this emulator's first :meth:`snapshot` replays the whole log.
+        self._wal_seq = 0
 
     # -- public API ------------------------------------------------------------
 
@@ -524,6 +528,11 @@ class Emulator:
             # ``payload`` is freshly built per call; constructing the
             # response directly skips ``ok``'s defensive copy.
             return ApiResponse(True, payload)
+        # Write-ahead: every write *attempt* is logged before it binds,
+        # because a failed create still burns an ID — replay re-fails
+        # the call identically and burns the same one.
+        if self._wal is not None:
+            self._wal_seq = self._wal.log(api, params)
         txn = Transaction(self.registry)
         try:
             subject, args = self._bind(entry, params, txn)
@@ -553,12 +562,9 @@ class Emulator:
             # clients classify it correctly; the transaction is simply
             # not committed, so state rolls back atomically.
             return ApiResponse.fail(error.code, error.message)
-        # Write-ahead: the mutation is durably logged before it becomes
-        # visible.  A crash in the window between the two (the
+        # A crash between the log and the commit (the
         # ``mid-transition-commit`` kill site) recovers by replaying
         # the logged intent — never a committed-but-unlogged call.
-        if self._wal is not None:
-            self._wal_seq = self._wal.log(api, params)
         kill_point("mid-transition-commit")
         txn.commit()
         return ApiResponse(True, payload)

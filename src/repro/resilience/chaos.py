@@ -332,7 +332,7 @@ KILL_SITES = (
     "mid-journal-append",
     # Serve-layer sites (whole-worker death in sharded serving):
     # after a write commits but before its registry version publishes,
-    # and mid-append of the shard's write-attempt log (torn half-line).
+    # and mid-append of the emulator's write-ahead log (torn half-line).
     "mid-publish",
     "mid-serve-wal-append",
 )

@@ -10,11 +10,11 @@ same plain result-dict shape (an ``ok`` verdict plus the evidence):
   ``RetryAfterSeconds`` hint and the ``ShardUnavailable`` marker
   (never a hang, never a stack trace);
 - recovered phase: within a bounded wall-clock window the supervisor
-  restarts the worker from its snapshot + write-attempt log, the
+  restarts the worker from its snapshot + write-ahead log, the
   recovered registry must be byte-identical to the pre-kill snapshot,
   and the retried write must land;
-- verdict: the extended linearizability check over the merged
-  per-shard attempt logs, with every recovery self-check folded in.
+- verdict: the extended linearizability check over every tenant's
+  WAL, with every recovery self-check folded in.
 
 Like the geo catalog, the scenario drives a caller-supplied build
 (``build.module`` + ``build.make_backend``) through a discovered

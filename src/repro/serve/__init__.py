@@ -49,7 +49,6 @@ from .loadgen import LoadGenerator, LoadReport, verify_linearizable
 from .shard import (
     ShardConfig,
     ShardedFrontDoor,
-    ShardLog,
     ShardSupervisor,
     ShardTenantRouter,
     parse_kill_schedule,
@@ -85,7 +84,6 @@ __all__ = [
     "OVERLOADED",
     "RequestValidator",
     "ShardConfig",
-    "ShardLog",
     "ShardSupervisor",
     "ShardTenantRouter",
     "ShardedFrontDoor",

@@ -19,10 +19,7 @@ time:
   ``ServiceUnavailable`` while reads bypass the bucket and stay
   alive (reads ride the lock-free pure route and are cheap; keeping
   them up is what lets operators *see* an overloaded system).  The
-  tenant recovers after ``recover_after`` consecutive token grants
-  (1 by default: the moment its bucket has tokens again; a higher
-  value adds hysteresis so a tenant flapping around the degrade
-  threshold does not oscillate admission decisions every request).
+  tenant recovers the moment its bucket has a token again.
 
 When a :class:`~repro.serve.allocation.HolisticAllocator` is
 attached, the independent per-tenant buckets become *allocator-owned*
@@ -78,8 +75,7 @@ class AdmissionDecision:
 class TenantMeter:
     """One tenant's bucket plus its degraded-mode bookkeeping."""
 
-    __slots__ = ("bucket", "alloc", "degraded", "_consecutive_sheds",
-                 "_consecutive_tokens", "_lock")
+    __slots__ = ("bucket", "alloc", "degraded", "_consecutive_sheds", "_lock")
 
     def __init__(self, bucket: TokenBucket, alloc=None):
         self.bucket = bucket
@@ -87,14 +83,12 @@ class TenantMeter:
         self.alloc = alloc
         self.degraded = False
         self._consecutive_sheds = 0
-        self._consecutive_tokens = 0
         self._lock = threading.Lock()
 
     def note_shed(self, degrade_after: int) -> bool:
         """Count a shed; returns True if the tenant just degraded."""
         with self._lock:
             self._consecutive_sheds += 1
-            self._consecutive_tokens = 0
             if not self.degraded and (
                 self._consecutive_sheds >= degrade_after
             ):
@@ -102,25 +96,14 @@ class TenantMeter:
                 return True
             return False
 
-    def note_token(self, recover_after: int = 1) -> bool:
-        """A token was available; returns True if tenant recovered.
-
-        Recovery requires ``recover_after`` *consecutive* token grants
-        — the hysteresis guard: with the default of 1 a tenant
-        recovers on its first token (the original behavior), while a
-        higher value keeps a tenant that flaps around the degrade
-        threshold from toggling its admission mode on every request.
-        """
+    def note_token(self) -> bool:
+        """A token was available; returns True if the tenant just
+        recovered (its first token ends degraded mode)."""
         with self._lock:
             self._consecutive_sheds = 0
-            self._consecutive_tokens += 1
-            if not self.degraded:
-                return False
-            if self._consecutive_tokens >= max(1, recover_after):
-                self.degraded = False
-                self._consecutive_tokens = 0
-                return True
-            return False
+            recovered = self.degraded
+            self.degraded = False
+            return recovered
 
 
 class AdmissionController:
@@ -139,7 +122,6 @@ class AdmissionController:
         max_concurrent: int = 16,
         queue_depth: int = 64,
         degrade_after: int = 8,
-        recover_after: int = 1,
         allocator=None,
         telemetry=None,
     ):
@@ -149,7 +131,6 @@ class AdmissionController:
         self.max_concurrent = max_concurrent
         self.queue_depth = queue_depth
         self.degrade_after = degrade_after
-        self.recover_after = max(1, recover_after)
         #: Optional :class:`~repro.serve.allocation.HolisticAllocator`:
         #: when attached, buckets and slot budgets are allocator grants
         #: instead of independent per-tenant config.
@@ -257,7 +238,7 @@ class AdmissionController:
 
         # Layer 3: the token bucket.
         if meter.bucket.try_take():
-            meter.note_token(self.recover_after)
+            meter.note_token()
             return self._admitted(alloc)
         retry_after = meter.bucket.retry_after()
         if meter.note_shed(self.degrade_after):
@@ -315,7 +296,7 @@ class AdmissionController:
         return AdmissionDecision(False, expired_response(stage))
 
     def _note_recovery(self, tenant: str, meter: TenantMeter) -> None:
-        if meter.note_token(self.recover_after) and (
+        if meter.note_token() and (
             self.telemetry is not None
         ):
             self.telemetry.event("tenant_recovered", tenant=tenant)

@@ -7,7 +7,7 @@ Reads never take a lock: each read pins the newest published
 :class:`~repro.interpreter.machine.RegistryVersion` — an immutable,
 structurally shared snapshot of the registry — and dispatches against
 it via :meth:`Emulator.invoke_at`, including through the compiled pure
-route.  Writes serialize under one writer mutex: dispatch, WAL append,
+route.  Writes serialize under one writer mutex: WAL append, dispatch,
 admitted-log append, then an atomic publish of the new version into
 the :class:`~repro.serve.mvcc.VersionChain`, which also runs
 epoch-based reclamation of superseded versions (a retired version is

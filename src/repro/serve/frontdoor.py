@@ -157,8 +157,7 @@ class FrontDoor:
     wrap:
         Optional proxy stack (e.g. a chaos wrapper) interposed between
         admission and the concurrency layer, per tenant.
-    rate / burst / max_concurrent / queue_depth / degrade_after /
-    recover_after:
+    rate / burst / max_concurrent / queue_depth / degrade_after:
         Admission-control knobs (see :class:`AdmissionController`).
     allocation:
         Optional :class:`~repro.serve.allocation.AllocationConfig`.
@@ -200,7 +199,6 @@ class FrontDoor:
         max_concurrent: int = 16,
         queue_depth: int = 64,
         degrade_after: int = 8,
-        recover_after: int = 1,
         allocation=None,
         max_tenants: int = 32,
         require_key: bool = False,
@@ -234,8 +232,7 @@ class FrontDoor:
         self.admission = AdmissionController(
             clock=self.clock, rate=rate, burst=burst,
             max_concurrent=max_concurrent, queue_depth=queue_depth,
-            degrade_after=degrade_after, recover_after=recover_after,
-            allocator=allocator, telemetry=telemetry,
+            degrade_after=degrade_after, allocator=allocator, telemetry=telemetry,
         )
         self.router = TenantRouter(
             emulator_factory, max_tenants=max_tenants,

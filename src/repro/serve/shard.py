@@ -12,16 +12,18 @@ tenant -> shard hash) and puts a supervising parent in front:
   automatically with the next entry of a seeded per-shard kill-schedule
   queue (so injected restart storms converge: the queue drains and the
   shard comes back clean).
-- Each :class:`_ShardWorker` owns a private durability directory: a
-  CRC-framed tenant-tagged **write-attempt log** (:class:`ShardLog`,
-  the ``mid-serve-wal-append`` kill site — a crash there leaves a
-  deliberately torn half-line) plus per-tenant snapshot files written
-  atomically every ``snapshot_interval`` writes.  Recovery is snapshot
-  restore + attempt-log tail replay, then a self-check: a full
-  from-scratch replay of every tenant's attempts must be
-  **byte-identical** to the recovered registry, and any divergence is
-  reported to the supervisor and folded into the linearizability
-  verdict.
+- Each :class:`_ShardWorker` owns a private durability directory.
+  Every tenant's emulator writes the emulator's own write-ahead log
+  (:class:`~repro.durability.wal.MutationLog`, whose appends are the
+  ``mid-serve-wal-append`` kill site — a crash there leaves a
+  deliberately torn half-line) to its own file there, plus an atomic
+  per-tenant snapshot every ``snapshot_interval`` writes.  Recovery is
+  :meth:`ConcurrentEmulator.recover` — snapshot restore, then the WAL
+  tail after the snapshot's ``wal_seq`` — followed by a self-check:
+  :func:`~repro.durability.wal.replay_mutations` of the tenant's whole
+  log on a fresh emulator must be **byte-identical** to the recovered
+  registry, and any divergence is reported to the supervisor and
+  folded into the linearizability verdict.
 - :class:`ShardedFrontDoor` keeps the whole single-process serving
   stack (envelope, auth, validation, admission) and swaps only the
   bottom: each tenant's backend is an RPC stub to its owning shard.
@@ -30,13 +32,11 @@ tenant -> shard hash) and puts a supervising parent in front:
   clients back off for the failover, not forever), while surviving
   shards keep serving untouched.
 
-Why an *attempt* log and not the emulator's WAL: the interpreter burns
-a deterministic ID even when a create fails (no counter rollback), and
-the WAL records only successful commits — so snapshot+WAL replay
-cannot reproduce allocator state after failed attempts.  Logging every
-attempt *before* dispatch makes one file serve as both the redo log
-(replay re-fails exactly, burning the same IDs) and the per-shard
-admitted log the extended linearizability check replays serially.
+The WAL logs every write *attempt* before dispatch, failed ones
+included: the interpreter burns a deterministic ID even when a create
+fails, so replay must re-fail the same calls to reproduce the
+allocator state.  That makes one log per tenant both the redo log and
+the admitted log the extended linearizability check replays serially.
 """
 
 from __future__ import annotations
@@ -48,16 +48,17 @@ import tempfile
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import quote, unquote
 
-from ..durability.journal import JournalWriter, scan_records
 from ..durability.snapshot import (
     decode_value,
     encode_value,
     registry_diff,
     write_snapshot,
 )
+from ..durability.wal import MutationLog, replay_mutations
 from ..interpreter.emulator import Emulator
 from ..interpreter.endpoint import JsonEndpoint
 from ..interpreter.errors import ApiResponse
@@ -73,8 +74,6 @@ from .deadline import current_meta, expired_response
 from .frontdoor import ConfigError, FrontDoor, _GuardedBackend
 from .loadgen import _canonical, replay_diff
 from .tenancy import Tenant, TenantRouter
-
-SHARD_WAL_NAME = "shard.wal"
 
 #: Worker exit status for an injected :class:`SimulatedCrash` — the
 #: process dies with no cleanup, no reply and no flushes, the way
@@ -95,73 +94,23 @@ def shard_for(tenant: str, shards: int) -> int:
     return zlib.crc32(tenant.encode("utf-8")) % max(1, shards)
 
 
-def _safe_name(tenant: str) -> str:
-    return "".join(
-        ch if ch.isalnum() or ch in "-_" else "_" for ch in tenant
-    )
+#: Per-tenant file suffixes in a shard's durability directory.
+SNAPSHOT_SUFFIX = ".snapshot.json"
+WAL_SUFFIX = ".wal"
 
 
-# ---------------------------------------------------------------------------
-# The per-shard write-attempt log
-# ---------------------------------------------------------------------------
+def _tenant_path(directory: Path, tenant: str, suffix: str) -> Path:
+    """``tenant-<name>`` with the name percent-encoded: reversible, so
+    distinct API keys (``a/b``, ``a.b``) never share a file and a
+    tenant is found again from its file name alone."""
+    return directory / f"tenant-{quote(tenant, safe='')}{suffix}"
 
 
-class ShardLog:
-    """Tenant-tagged log of every write *attempt* one shard admitted.
-
-    Shares the build journal's CRC framing and torn-tail scan.  The
-    append is the ``mid-serve-wal-append`` kill site: an injected
-    worker death there leaves half a line, flushed but not fsync'd,
-    which the recovery scan drops — correctly, because the attempt it
-    described never reached the interpreter.
-    """
-
-    def __init__(self, path: "str | Path", fsync: bool = True):
-        target = Path(path)
-        if target.is_dir():
-            target = target / SHARD_WAL_NAME
-        self.path = target
-        self._writer = JournalWriter(
-            self.path, fsync=fsync, kill_site="mid-serve-wal-append"
-        )
-        scan = scan_records(self.path)
-        self.dropped = scan.dropped
-        self._records = scan.records
-        self._writer.open(truncate_to=scan.valid_bytes)
-        self._seq = self._records[-1]["seq"] if self._records else 0
-
-    @property
-    def seq(self) -> int:
-        return self._seq
-
-    @property
-    def records(self) -> list[dict]:
-        return list(self._records)
-
-    def append(self, tenant: str, api: str, params: dict | None) -> int:
-        """Log one attempt about to dispatch; returns its shard seq."""
-        self._seq += 1
-        record = {
-            "type": "attempt",
-            "seq": self._seq,
-            "tenant": tenant,
-            "api": api,
-            "params": encode_value(dict(params or {})),
-        }
-        self._writer.append(record)
-        self._records.append(record)
-        return self._seq
-
-    def append_reset(self, tenant: str) -> int:
-        """A tenant reset is an attempt too (replay must repeat it)."""
-        self._seq += 1
-        record = {"type": "reset", "seq": self._seq, "tenant": tenant}
-        self._writer.append(record)
-        self._records.append(record)
-        return self._seq
-
-    def close(self) -> None:
-        self._writer.close()
+def _tenants_in(directory: Path, suffix: str) -> set[str]:
+    return {
+        unquote(path.name[len("tenant-"):-len(suffix)])
+        for path in directory.glob(f"tenant-*{suffix}")
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +143,8 @@ class _ShardWorker:
     per shard), so per-request work needs no locking here; the
     :class:`ConcurrentEmulator` wrap is still used for its MVCC
     publish/pin surface (torn-free snapshots, version accounting, and
-    the ``mid-publish`` kill site).
+    the ``mid-publish`` kill site) and its atomic :meth:`recover
+    <ConcurrentEmulator.recover>`.
     """
 
     def __init__(self, config: ShardConfig):
@@ -205,9 +155,8 @@ class _ShardWorker:
         )
         self.data_dir = Path(config.data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
-        self.log = ShardLog(self.data_dir / SHARD_WAL_NAME,
-                            fsync=config.fsync)
         self._emulators: dict[str, ConcurrentEmulator] = {}
+        self._logs: dict[str, MutationLog] = {}
         self._writes_since_snapshot: dict[str, int] = {}
         self.requests = 0
         self.writes = 0
@@ -215,85 +164,67 @@ class _ShardWorker:
 
     # -- construction ------------------------------------------------------
 
-    def _fresh(self) -> Emulator:
+    def _fresh(self, wal: MutationLog | None = None) -> Emulator:
         return Emulator(
             self.module, notfound_codes=self.config.notfound_codes,
+            wal=wal,
         )
 
     def _tenant(self, name: str) -> ConcurrentEmulator:
         concurrent = self._emulators.get(name)
         if concurrent is None:
+            log = MutationLog(
+                _tenant_path(self.data_dir, name, WAL_SUFFIX),
+                fsync=self.config.fsync,
+            )
+            self._logs[name] = log
             concurrent = ConcurrentEmulator(
-                self._fresh(), tenant=name, log=None
+                self._fresh(wal=log), tenant=name, log=None
             )
             self._emulators[name] = concurrent
         return concurrent
 
     # -- recovery ----------------------------------------------------------
 
-    def _snapshot_path(self, tenant: str) -> Path:
-        return self.data_dir / f"tenant-{_safe_name(tenant)}.snapshot.json"
-
-    def _apply(self, concurrent: ConcurrentEmulator, record: dict) -> None:
-        if record.get("type") == "reset":
-            concurrent.reset()
-        else:
-            concurrent.invoke(record["api"], decode_value(record["params"]))
-
     def _recover(self) -> list[dict]:
-        """Snapshot restore + attempt-log tail replay, then prove it.
+        """Snapshot restore + WAL tail replay, then prove it.
 
-        For every tenant seen in a snapshot file or the attempt log:
-        restore the newest snapshot, replay attempts with
-        ``seq > snapshot.shard_seq`` through the normal dispatch path
-        (failures re-fail identically, burning the same IDs), then run
-        the self-check — a full from-scratch replay of the tenant's
-        attempts must produce a byte-identical registry.  The report
-        rides to the supervisor in the hello message; a non-identical
-        recovery is a linearizability failure.
+        For every tenant with a snapshot or a WAL file: recover from
+        the newest snapshot (or from empty) through
+        :meth:`ConcurrentEmulator.recover`, which replays the attempts
+        after the snapshot's ``wal_seq`` (failures re-fail identically,
+        burning the same IDs), then run the self-check — replaying the
+        tenant's whole log on a fresh emulator must produce a
+        byte-identical registry.  The report rides to the supervisor in
+        the hello message; a non-identical recovery is a
+        linearizability failure.
         """
-        records = self.log.records
         snapshots: dict[str, dict] = {}
-        for path in sorted(self.data_dir.glob("tenant-*.snapshot.json")):
+        for tenant in _tenants_in(self.data_dir, SNAPSHOT_SUFFIX):
+            path = _tenant_path(self.data_dir, tenant, SNAPSHOT_SUFFIX)
             try:
-                payload = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
+                snapshots[tenant] = json.loads(path.read_text())["snapshot"]
+            except (OSError, json.JSONDecodeError, KeyError):
                 continue
-            tenant = payload.get("tenant")
-            if isinstance(tenant, str):
-                snapshots[tenant] = payload
-        tenants = sorted(
-            set(snapshots) | {r["tenant"] for r in records}
-        )
+        tenants = set(snapshots) | _tenants_in(self.data_dir, WAL_SUFFIX)
         reports = []
-        for tenant in tenants:
+        for tenant in sorted(tenants):
             concurrent = self._tenant(tenant)
-            payload = snapshots.get(tenant)
-            snap_seq = 0
-            if payload is not None:
-                concurrent.restore(payload["snapshot"])
-                snap_seq = int(payload.get("shard_seq", 0))
-            replayed = 0
-            for record in records:
-                if record["tenant"] != tenant or record["seq"] <= snap_seq:
-                    continue
-                self._apply(concurrent, record)
-                replayed += 1
-            control = ConcurrentEmulator(
-                self._fresh(), tenant=tenant, log=None
-            )
-            for record in records:
-                if record["tenant"] == tenant:
-                    self._apply(control, record)
+            log = self._logs[tenant]
+            # A fresh emulator's snapshot is the empty registry at
+            # wal_seq 0: recovering from it replays the whole log.
+            snapshot = snapshots.get(tenant) or concurrent.snapshot()
+            replayed = concurrent.recover(snapshot)
+            control = self._fresh()
+            replay_mutations(control, log.records)
             want = control.snapshot()
             got = concurrent.snapshot()
-            identical = _canonical(want) == _canonical(got)
             reports.append({
                 "tenant": tenant,
-                "snapshot_seq": snap_seq,
+                "snapshot_seq": snapshot.get("wal_seq", 0),
                 "replayed": replayed,
-                "torn_dropped": self.log.dropped,
-                "identical": identical,
+                "torn_dropped": log.stats.torn_records_dropped,
+                "identical": _canonical(want) == _canonical(got),
                 "diff": registry_diff(
                     {**want, "wal_seq": 0}, {**got, "wal_seq": 0}
                 )[:5],
@@ -308,14 +239,12 @@ class _ShardWorker:
         if concurrent.read_only(api):
             return concurrent.invoke(api, params)
         self.writes += 1
-        self.log.append(tenant, api, params)
         response = concurrent.invoke(api, params)
         self._maybe_snapshot(tenant, concurrent)
         return response
 
     def reset(self, tenant: str) -> None:
         concurrent = self._tenant(tenant)
-        self.log.append_reset(tenant)
         concurrent.reset()
         self._maybe_snapshot(tenant, concurrent)
 
@@ -327,12 +256,13 @@ class _ShardWorker:
             self._writes_since_snapshot[tenant] = count
             return
         self._writes_since_snapshot[tenant] = 0
-        write_snapshot(self._snapshot_path(tenant), {
-            "tenant": tenant,
-            "shard": self.config.index,
-            "shard_seq": self.log.seq,
-            "snapshot": concurrent.snapshot(),
-        })
+        write_snapshot(
+            _tenant_path(self.data_dir, tenant, SNAPSHOT_SUFFIX), {
+                "tenant": tenant,
+                "shard": self.config.index,
+                "snapshot": concurrent.snapshot(),
+            },
+        )
 
     # -- introspection ops --------------------------------------------------
 
@@ -342,14 +272,15 @@ class _ShardWorker:
     def admitted(self) -> list[dict]:
         return [
             {
-                "type": record.get("type", "attempt"),
+                "type": record["type"],
                 "seq": record["seq"],
                 "shard": self.config.index,
-                "tenant": record["tenant"],
+                "tenant": tenant,
                 "api": record.get("api", "_Reset"),
                 "params": decode_value(record.get("params", {})),
             }
-            for record in self.log.records
+            for tenant, log in sorted(self._logs.items())
+            for record in log.records
         ]
 
     def stats(self) -> dict:
@@ -362,16 +293,17 @@ class _ShardWorker:
             "pid": os.getpid(),
             "requests": self.requests,
             "writes": self.writes,
-            "admitted": self.log.seq,
+            "admitted": sum(log.seq for log in self._logs.values()),
             "tenants": sorted(self._emulators),
             "version_stats": version_stats,
         }
 
     def shutdown(self) -> None:
-        """Final snapshots for every tenant, then close the log."""
+        """Final snapshots for every tenant, then close the logs."""
         for tenant, concurrent in self._emulators.items():
             self._maybe_snapshot(tenant, concurrent, force=True)
-        self.log.close()
+        for log in self._logs.values():
+            log.close()
 
 
 def _worker_main(config: ShardConfig, conn) -> None:
@@ -396,7 +328,6 @@ def _worker_main(config: ShardConfig, conn) -> None:
     conn.send({
         "type": "hello", "shard": config.index, "ok": True,
         "pid": os.getpid(), "recovery": worker.recovery,
-        "torn_dropped": worker.log.dropped,
     })
     if config.kill_schedule:
         install_kill_switch(dict(config.kill_schedule))
@@ -937,10 +868,11 @@ class ShardSupervisor:
     # -- merged views ------------------------------------------------------
 
     def admitted_records(self) -> list[dict]:
-        """Every shard's attempt log, merged (ordered by shard, seq).
+        """Every tenant's WAL records, merged (by shard, tenant, seq).
 
         Per-tenant order is total — a tenant lives on exactly one
-        shard — which is what the linearizability replay needs.
+        shard and owns one log — which is what the linearizability
+        replay needs.
         Unreachable shards contribute nothing (their verifier check
         fails separately on the snapshot fetch).
         """
@@ -1190,7 +1122,7 @@ class ShardedFrontDoor(FrontDoor):
 
     The envelope/auth/validation/admission layers are unchanged; the
     per-tenant backend routes to the owning shard over RPC.  Overrides
-    :meth:`verify_linearizable` (merged per-shard attempt logs,
+    :meth:`verify_linearizable` (the workers' per-tenant WALs,
     replayed serially, compared byte-for-byte against RPC-fetched
     shard snapshots — with recovery self-check failures folded in) and
     :meth:`mvcc_stats` (worker version accounting, merged).
@@ -1280,8 +1212,8 @@ class ShardedFrontDoor(FrontDoor):
         return _MergedAdmitted(self.supervisor)
 
     def verify_linearizable(self) -> tuple[bool, list[str]]:
-        """The extended check: merged per-shard attempt logs, replayed
-        serially per tenant, must reproduce each shard's live registry
+        """The extended check: each tenant's WAL, fetched from its
+        worker and replayed serially, must reproduce each shard's live registry
         byte-for-byte — and every worker recovery (every generation)
         must have passed its byte-identity self-check."""
         mismatches = list(self.supervisor.recovery_failures)
@@ -1299,14 +1231,12 @@ class ShardedFrontDoor(FrontDoor):
                 )
                 continue
             diff = replay_diff(
-                self.emulator_factory,
-                sorted(by_tenant[tenant], key=lambda r: r["seq"]),
-                live,
+                self.emulator_factory, by_tenant[tenant], live
             )
             if diff:
                 mismatches.append(
-                    f"tenant {tenant}: serial replay of the merged "
-                    f"shard-{shard} attempt log diverges from the "
+                    f"tenant {tenant}: serial replay of its "
+                    f"shard-{shard} WAL diverges from the "
                     f"worker's live registry ({diff})"
                 )
         self.supervisor.merge_metrics()
@@ -1339,7 +1269,7 @@ class ShardedFrontDoor(FrontDoor):
 
 
 class _MergedAdmitted:
-    """A read-only merged view over every shard's attempt log, shaped
+    """A read-only merged view over every shard's WAL records, shaped
     like :class:`~repro.serve.concurrency.AdmittedLog` where the CLI
     and load generator need it (length, records, JSONL dump)."""
 

@@ -402,6 +402,11 @@ class TestSnapshotRestore:
         assert again.data["id"] == "public_ip-00000002"
 
 
+@pytest.fixture(scope="module")
+def ec2_build():
+    return build_learned_emulator("ec2", seed=7, align=False)
+
+
 class TestMutationLog:
     def test_recover_replays_to_pre_crash_state(self, tmp_path):
         module, emulator = toy_emulator(wal=tmp_path)
@@ -458,6 +463,82 @@ class TestMutationLog:
         __, revived = toy_emulator(wal=tmp_path)
         revived.recover(snapshot)
         assert registry_diff(expected, registry_dump(revived.registry)) == []
+
+    def test_reopen_continues_seq(self, tmp_path):
+        log = MutationLog(tmp_path)
+        assert log.log("CreatePublicIP", {"region": "r"}) == 1
+        assert log.log_reset() == 2
+        assert log.log("CreateNIC", {"zone": "z"}) == 3
+        log.close()
+
+        reopened = MutationLog(tmp_path)
+        assert reopened.stats.torn_records_dropped == 0
+        assert reopened.seq == 3
+        kinds = [r["type"] for r in reopened.records]
+        assert kinds == ["mutation", "reset", "mutation"]
+        assert reopened.records[0]["api"] == "CreatePublicIP"
+        assert reopened.log("CreateNIC", {"zone": "z"}) == 4
+        reopened.close()
+
+    def test_torn_append_dropped_and_seq_reused(self, tmp_path):
+        log = MutationLog(tmp_path, fsync=False)
+        log.log("CreatePublicIP", {"region": "r"})
+        install_kill_switch({"mid-serve-wal-append": 1})
+        with pytest.raises(SimulatedCrash):
+            log.log("CreatePublicIP", {"region": "r"})
+        clear_kill_switch()
+        # The file really holds a torn half-line, not a clean tail.
+        assert not log.path.read_bytes().endswith(b"\n")
+        log.close()
+
+        recovered = MutationLog(tmp_path)
+        assert recovered.stats.torn_records_dropped == 1
+        assert recovered.seq == 1
+        assert len(recovered.records) == 1
+        # The next append reuses the seq the torn attempt never earned.
+        assert recovered.log("CreatePublicIP", {"region": "r"}) == 2
+        recovered.close()
+
+    def test_failed_creates_recover_byte_identical(self, ec2_build,
+                                                    tmp_path):
+        """A failed create still burns an ID.  The WAL logs every write
+        attempt, so recovery re-fails it and burns the same ID: the
+        recovered snapshot is byte-identical to the live one."""
+        def ec2(wal=None):
+            return Emulator(
+                ec2_build.module,
+                notfound_codes=ec2_build.extraction.notfound_codes,
+                wal=wal,
+            )
+
+        live_log = MutationLog(tmp_path, fsync=False)
+        live = ec2(wal=live_log)
+        checkpoint = live.snapshot()
+        vpc = live.invoke("CreateVpc", {"cidr_block": "10.0.0.0/16"})
+        assert vpc.success
+        vpc_id = vpc.data["id"]
+        failed = [
+            live.invoke("CreateSubnet",
+                        {"vpc_id": vpc_id, "cidr_block": "10.0.0.0/29"}),
+            live.invoke("CreateVpc", {"cidr_block": "10.1.0.0/29"}),
+        ]
+        assert not any(response.success for response in failed)
+        assert live.invoke(
+            "CreateVpc", {"cidr_block": "10.2.0.0/16"}
+        ).success
+        assert live.invoke(
+            "CreateSubnet", {"vpc_id": vpc_id, "cidr_block": "10.0.1.0/24"}
+        ).success
+        expected = live.snapshot()
+        live_log.close()
+
+        revived_log = MutationLog(tmp_path, fsync=False)
+        revived = ec2(wal=revived_log)
+        assert revived.recover(checkpoint) == 5
+        revived_log.close()
+        assert json.dumps(revived.snapshot(), sort_keys=True) == (
+            json.dumps(expected, sort_keys=True)
+        )
 
     def test_torn_wal_tail_is_dropped(self, tmp_path):
         module, emulator = toy_emulator(wal=tmp_path)

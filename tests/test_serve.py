@@ -250,45 +250,8 @@ class TestAdmission:
         controller.release()
         assert not controller.degraded("t")
 
-    def test_recover_hysteresis_needs_consecutive_tokens(self):
-        """``recover_after > 1``: one lucky token does not clear
-        degraded mode — only a sustained run of grants does, so a
-        tenant flapping around the degrade threshold stays degraded
-        instead of toggling its admission mode on every request."""
-        clock = VirtualClock()
-        controller = AdmissionController(
-            clock=clock, rate=2.0, burst=1.0,
-            degrade_after=2, recover_after=3,
-        )
-        controller.admit("t", "CreateVpc", read_only=False)
-        controller.release()
-        for __ in range(2):
-            controller.admit("t", "CreateVpc", read_only=False)
-        assert controller.degraded("t")
-        # One refilled token: admitted, but still degraded (1 < 3).
-        clock.sleep(0.5)
-        assert controller.admit("t", "CreateVpc",
-                                read_only=False).admitted
-        controller.release()
-        assert controller.degraded("t")
-        # A shed in between resets the consecutive-token run.
-        controller.admit("t", "CreateVpc", read_only=False)
-        clock.sleep(0.5)
-        assert controller.admit("t", "CreateVpc",
-                                read_only=False).admitted
-        controller.release()
-        assert controller.degraded("t")
-        # Three consecutive grants finally clear the mode.
-        for __ in range(2):
-            clock.sleep(0.5)
-            assert controller.admit("t", "CreateVpc",
-                                    read_only=False).admitted
-            controller.release()
-        assert not controller.degraded("t")
-
     def test_default_recover_after_is_first_token(self):
-        """The default ``recover_after=1`` keeps the original
-        semantics: the first refilled token ends degraded mode."""
+        """The first refilled token ends degraded mode."""
         clock = VirtualClock()
         controller = AdmissionController(
             clock=clock, rate=5.0, burst=1.0, degrade_after=2,

@@ -1,8 +1,8 @@
 """Tests for crash-tolerant multi-process sharded serving (repro.serve.shard).
 
 Covers the supervisor (spawn, heartbeat, restart storms, graceful
-shutdown), the per-shard write-attempt log (torn-tail recovery),
-router failover envelopes, and the acceptance soak: a seeded
+shutdown), per-tenant WAL and snapshot files (torn-tail recovery,
+collision-free names), router failover envelopes, and the acceptance soak: a seeded
 worker-kill schedule firing at every serve-layer kill site under
 concurrent load, gated on the extended linearizability check and
 byte-identical recovery.
@@ -15,16 +15,10 @@ import pytest
 
 from repro.core import build_learned_emulator
 from repro.interpreter import Emulator
-from repro.resilience.chaos import (
-    KILL_SITES,
-    SimulatedCrash,
-    clear_kill_switch,
-    install_kill_switch,
-)
+from repro.resilience.chaos import KILL_SITES, clear_kill_switch
 from repro.serve import (
     LoadGenerator,
     ShardedFrontDoor,
-    ShardLog,
     ShardSupervisor,
     parse_kill_schedule,
     shard_for,
@@ -121,43 +115,6 @@ class TestParseKillSchedule:
     def test_worker_sites_are_registered(self):
         for site in WORKER_KILL_SITES:
             assert site in KILL_SITES
-
-
-class TestShardLog:
-    def test_roundtrip_and_reopen(self, tmp_path):
-        log = ShardLog(tmp_path)
-        assert log.append("a", "CreatePublicIP", {"region": "r"}) == 1
-        assert log.append_reset("a") == 2
-        assert log.append("b", "CreateNIC", {"zone": "z"}) == 3
-        log.close()
-
-        reopened = ShardLog(tmp_path)
-        assert reopened.dropped == 0
-        assert reopened.seq == 3
-        kinds = [r["type"] for r in reopened.records]
-        assert kinds == ["attempt", "reset", "attempt"]
-        assert reopened.records[0]["tenant"] == "a"
-        assert reopened.append("c", "CreateNIC", {"zone": "z"}) == 4
-        reopened.close()
-
-    def test_torn_append_dropped_on_reopen(self, tmp_path):
-        log = ShardLog(tmp_path)
-        log.append("t", "CreatePublicIP", {"region": "r"})
-        install_kill_switch({"mid-serve-wal-append": 1})
-        with pytest.raises(SimulatedCrash):
-            log.append("t", "CreatePublicIP", {"region": "r"})
-        clear_kill_switch()
-        # The file really holds a torn half-line, not a clean tail.
-        raw = (tmp_path / "shard.wal").read_bytes()
-        assert not raw.endswith(b"\n")
-
-        recovered = ShardLog(tmp_path)
-        assert recovered.dropped == 1
-        assert recovered.seq == 1
-        assert len(recovered.records) == 1
-        # The next append reuses the seq the torn attempt never earned.
-        assert recovered.append("t", "CreatePublicIP", {"region": "r"}) == 2
-        recovered.close()
 
 
 class TestSupervisor:
@@ -370,6 +327,46 @@ class TestSupervisor:
             handle = supervisor._handles[0]
             handle.process.join(timeout=10)
             assert handle.process.exitcode == CRASH_EXIT_CODE
+
+
+class TestTenantFiles:
+    def test_colliding_names_recover_from_their_own_snapshots(
+        self, tmp_path
+    ):
+        """``a/b`` and ``a.b`` once mapped to one file name.  Each now
+        has its own WAL and snapshot, and recovers identical from
+        them, failed (ID-burning) creates included."""
+        writes = {"a/b": 6, "a.b": 7}
+        with ShardSupervisor(
+            toy_module(), shards=1, data_dir=tmp_path,
+            snapshot_interval=4,
+        ) as supervisor:
+            for tenant, count in writes.items():
+                assert not create_ip(
+                    supervisor, 0, tenant=tenant, region="mars"
+                )["success"]
+                for __ in range(count - 1):
+                    assert create_ip(supervisor, 0, tenant=tenant)["success"]
+            before = {t: supervisor.snapshot(0, t) for t in writes}
+            assert _canonical(before["a/b"]) != _canonical(before["a.b"])
+            supervisor.kill(0)
+            assert supervisor.tick()["restarted"] == 1
+            reports = {
+                r["tenant"]: r for r in supervisor.recovery_reports()[0]
+            }
+            assert set(reports) == set(writes)
+            for tenant, count in writes.items():
+                report = reports[tenant]
+                assert report["identical"], report["diff"]
+                assert report["snapshot_seq"] == 4
+                assert report["replayed"] == count - 4
+                assert _canonical(supervisor.snapshot(0, tenant)) == (
+                    _canonical(before[tenant])
+                )
+            assert supervisor.recovery_failures == []
+        shard_dir = tmp_path / "shard-0"
+        assert len(list(shard_dir.glob("tenant-*.snapshot.json"))) == 2
+        assert len(list(shard_dir.glob("tenant-*.wal"))) == 2
 
 
 class TestShardedFrontDoorFailover:
